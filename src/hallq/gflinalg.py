@@ -814,7 +814,9 @@ def submodule_type_count(lam: Partition, mu: Partition, q: int):
     """Number of F_q[x]-submodules of type mu inside the nilpotent module of
     type lam (classical subgroup-counting formula for abelian p-groups).
 
-    Validated against ``invariant_subspaces`` in the test suite.
+    The test referee for ``invariant_subspace_counts``: its sum over the
+    partitions mu of k is checked against that sweep and against
+    ``invariant_subspaces``.
     """
     from fractions import Fraction
 
@@ -830,24 +832,58 @@ def submodule_type_count(lam: Partition, mu: Partition, q: int):
         mi = mc[i] if i < len(mc) else 0
         mi1 = mc[i + 1] if i + 1 < len(mc) else 0
         total *= Fraction(q) ** (mi1 * (li - mi)) * gaussian_binomial(li - mi1, mi - mi1, q)
-    assert total.denominator == 1
+    if total.denominator != 1:
+        raise ArithmeticError(f"submodule count {total} of type {mu} in {lam} at q={q} is not an integer")
     return int(total)
+
+
+@lru_cache(maxsize=None)
+def _q_binomial_row(a: int, q: int) -> tuple[int, ...]:
+    """([a choose k]_q for k = 0..a) as ints, by the product rule
+    [a choose k] = [a choose k-1] (q^(a-k+1) - 1) / (q^k - 1); each division
+    is exact."""
+    row = [1]
+    for k in range(1, a + 1):
+        row.append(row[-1] * (q ** (a - k + 1) - 1) // (q**k - 1))
+    return tuple(row)
+
+
+def invariant_subspace_counts(rho: Partition, q: int) -> tuple[int, ...]:
+    """(c_0, ..., c_n) with c_k the number of invariant k-subspaces of a
+    unipotent matrix of type rho over F_q, n = |rho|.
+
+    The number of submodules of type mu is a product over the columns i of
+    rho of q^(mu'_{i+1} (rho'_i - mu'_i)) [rho'_i - mu'_{i+1} choose
+    mu'_i - mu'_{i+1}]_q (Macdonald, Ch. II), so the sum over every mu of
+    that product times z^|mu| is a transfer-matrix product over the columns.
+    The sweep runs from the last column to the first; its state is
+    s = mu'_{i+1}, and each state carries the polynomial in z (coefficient
+    list, low degree first) summed over the choices made so far.
+    """
+    rho = validate_partition(rho)
+    states = {0: [1]}
+    size = 1
+    for length in reversed(conjugate(rho)):
+        size += length
+        nxt = {m: [0] * size for m in range(length + 1)}
+        for s, poly in states.items():
+            binom = _q_binomial_row(length - s, q)
+            for m in range(s, length + 1):
+                w = q ** (s * (length - m)) * binom[m - s]
+                acc = nxt[m]
+                acc[m : m + len(poly)] = [x + w * y for x, y in zip(acc[m : m + len(poly)], poly)]
+        states = nxt
+    total = [0] * size
+    for poly in states.values():
+        total = [x + y for x, y in zip(total, poly)]
+    return tuple(total)
 
 
 def invariant_subspace_count(rho: Partition, dim: int, q: int) -> int:
     """Number of invariant subspaces of the given dimension for a unipotent
-    matrix of type rho, summed over submodule types.
-
-    Counts at dimension d and n-d agree (the module is self-dual); the
-    smaller side is summed.
-    """
-    from .partitions import enumerate_partitions
-
-    n = sum(rho)
-    if dim < 0 or dim > n:
-        return 0
-    dim = min(dim, n - dim)
-    return sum(submodule_type_count(rho, mu, q) for mu in enumerate_partitions(dim))
+    matrix of type rho: one entry of ``invariant_subspace_counts``."""
+    counts = invariant_subspace_counts(rho, q)
+    return counts[dim] if 0 <= dim < len(counts) else 0
 
 
 def companion_matrix(f, q: int) -> MatGF:

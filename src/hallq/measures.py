@@ -256,9 +256,12 @@ def fast_route_available(spec: ThomaSpec) -> bool:
 def r_function_fast(rho: Partition, spec: ThomaSpec, q: Fraction) -> Fraction:
     """r-function of a low-width point via invariant-subspace counts.
 
-    For alpha atoms (a, b): r_rho = sum over two-part nu of
-    psi^nu_rho(q) m_nu(a, b), where psi counts invariant subspaces.  For a
-    single beta atom b: b^n q^(n(n-1)/2) on the one-column type, else 0.
+    For alpha atoms (a, b): r_rho(a, b) = a^n F_rho(b/a) = sum over k of
+    c_k a^(n-k) b^k, where F_rho(z) = sum over k of c_k z^k and c_k counts
+    the invariant k-subspaces (``gflinalg.invariant_subspace_counts``).  The
+    sum is taken in integers, with a = A / (a_den b_den) and
+    b = B / (a_den b_den), and divided by (a_den b_den)^n once.  For a single
+    beta atom b: b^n q^(n(n-1)/2) on the one-column type, else 0.
     """
     rho = validate_partition(rho)
     n = sum(rho)
@@ -269,15 +272,11 @@ def r_function_fast(rho: Partition, spec: ThomaSpec, q: Fraction) -> Fraction:
         if len(atoms) == 1:
             return atoms[0] ** n
         a, b = atoms
-        total = Fraction(0)
-        for k in range(0, n // 2 + 1):
-            psi = Fraction(gflinalg.invariant_subspace_count(rho, k, int(q)))
-            if n - k == k:
-                m_nu = a**k * b**k
-            else:
-                m_nu = a ** (n - k) * b**k + a**k * b ** (n - k)
-            total += psi * m_nu
-        return total
+        big_a = a.numerator * b.denominator
+        big_b = b.numerator * a.denominator
+        counts = gflinalg.invariant_subspace_counts(rho, int(q))
+        total = sum(c * big_a ** (n - k) * big_b**k for k, c in enumerate(counts))
+        return Fraction(total, (a.denominator * b.denominator) ** n)
     b = spec.betas[0].value
     if rho == tuple([1] * n):
         return b**n * Fraction(q) ** (n * (n - 1) // 2)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 
 Partition = tuple[int, ...]
 # A semistandard tableau, stored row by row.
@@ -289,7 +288,3 @@ def tableau_is_semistandard(t: Tableau, shape: Partition, content: Partition) ->
 
 def partition_count(n: int) -> int:
     return len(enumerate_partitions(n))
-
-
-def binomial(n: int, k: int) -> int:
-    return comb(n, k)

@@ -27,7 +27,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import sqrt
+from math import lcm, sqrt
 from typing import Optional
 
 from . import gflinalg, measures
@@ -371,6 +371,10 @@ def _assert_same_filtration(incremental, fresh) -> None:
             assert inc.contains(v), "filtration span drifted"
 
 
+class ConditionalLawError(ArithmeticError):
+    """The exact conditional law of a growth step is not a probability law."""
+
+
 def markov_step(rho: Partition, meas: CentralMeasure, rng: CounterRng, trial: int, step: int,
                 counts: str = "brute") -> Partition:
     """One exact conditional growth step under a central measure."""
@@ -395,23 +399,16 @@ def markov_step(rho: Partition, meas: CentralMeasure, rng: CounterRng, trial: in
             sigmas.append(sigma)
             probs.append(p)
     total = sum(probs, Fraction(0))
-    assert total == 1, f"conditional law sums to {total} at {rho}"
-    denom = 1
-    for p in probs:
-        denom = denom * p.denominator // _gcd(denom, p.denominator)
+    if total != 1:
+        raise ConditionalLawError(f"conditional law sums to {total} at {rho}")
+    denom = lcm(*(p.denominator for p in probs))
     draw = rng.uniform_below(trial, step, denom)
     acc = 0
     for sigma, p in zip(sigmas, probs):
         acc += p.numerator * (denom // p.denominator)
         if draw < acc:
             return sigma
-    raise AssertionError("unreachable")
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+    raise ConditionalLawError(f"draw {draw} of {denom} fell past the law at {rho} (mass {acc})")
 
 
 def _measure_cylinder(meas: CentralMeasure, rho: Partition) -> Fraction:
@@ -463,6 +460,12 @@ class SamplerConfig:
     store_trajectories: bool = False
     threads: int = 1
     matrix_n_limit: int = 600  # memory/time guard for the explicit-matrix engine
+
+    def __post_init__(self):
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must satisfy 0 <= seed < 2^64, got {self.seed}")
+        if self.trials < 1:
+            raise ValueError(f"trials must be at least 1, got {self.trials}")
 
     def resolved_snapshot(self) -> int:
         return self.snapshot_every or max(1, self.n_max // 50)

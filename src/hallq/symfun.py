@@ -161,10 +161,6 @@ class PowerFunctional:
 EvalPoint = Union[ThomaSpec, PowerFunctional]
 
 
-def power_sum_value(spec: EvalPoint, m: int, t: Rational) -> Fraction:
-    return spec.power_sum(m, t)
-
-
 def power_substitution(spec: EvalPoint, d: int, t: Rational) -> PowerFunctional:
     """The power substitution sending p_m to p_{md}, realized as a functional."""
     if d < 1:
@@ -199,34 +195,26 @@ def geometric_merge_beta(spec: ThomaSpec) -> ThomaSpec:
 # ---------------------------------------------------------------------------
 
 
-def _fraction_to_str(x: Fraction) -> str:
-    return str(x)
-
-
-def _fraction_from_str(s) -> Fraction:
-    return Fraction(s)
-
-
 def spec_to_dict(spec: ThomaSpec, q: Rational | None = None) -> dict:
     doc = {
-        "alphas": [{"value": _fraction_to_str(e.value), "geometric": e.geometric} for e in spec.alphas],
-        "betas": [{"value": _fraction_to_str(e.value), "geometric": e.geometric} for e in spec.betas],
-        "gamma": _fraction_to_str(spec.gamma),
+        "alphas": [{"value": str(e.value), "geometric": e.geometric} for e in spec.alphas],
+        "betas": [{"value": str(e.value), "geometric": e.geometric} for e in spec.betas],
+        "gamma": str(spec.gamma),
     }
     if q is not None:
-        doc["q"] = _fraction_to_str(Fraction(q))
+        doc["q"] = str(Fraction(q))
     return doc
 
 
 def spec_from_dict(doc: Mapping) -> tuple[ThomaSpec, Fraction | None]:
     def entries(key):
         return tuple(
-            SpecEntry(_fraction_from_str(e["value"]), bool(e.get("geometric", False)))
+            SpecEntry(Fraction(e["value"]), bool(e.get("geometric", False)))
             for e in doc.get(key, ())
         )
 
-    spec = ThomaSpec(entries("alphas"), entries("betas"), _fraction_from_str(doc.get("gamma", "0")))
-    q = _fraction_from_str(doc["q"]) if "q" in doc else None
+    spec = ThomaSpec(entries("alphas"), entries("betas"), Fraction(doc.get("gamma", "0")))
+    q = Fraction(doc["q"]) if "q" in doc else None
     return spec, q
 
 
@@ -638,6 +626,12 @@ def schur_values(spec: EvalPoint, t: Rational, n: int) -> tuple[Fraction, ...]:
     return tuple(vals)
 
 
+@lru_cache(maxsize=None)
+def _schur_values_cached(spec: EvalPoint, t: Fraction, n: int) -> tuple[Fraction, ...]:
+    """``schur_values`` once per (point, t, degree), for ``r_function``."""
+    return schur_values(spec, t, n)
+
+
 def monomial_values(spec: EvalPoint, t: Rational, n: int) -> tuple[Fraction, ...]:
     """m_nu at the point, for all nu of degree n in reverse-lex order."""
     if n == 0:
@@ -674,7 +668,7 @@ def r_function(rho: Partition, spec: EvalPoint, t: Rational) -> Fraction:
     parts = enumerate_partitions(n)
     j = partition_index(n)[rho]
     K = kostka_foulkes(n, t)
-    svals = schur_values(spec, t, n)
+    svals = _schur_values_cached(spec, t, n)
     total = Fraction(0)
     for i in range(len(parts)):
         if K[i][j]:

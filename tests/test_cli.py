@@ -139,6 +139,22 @@ class TestLln:
         assert code == 0
         assert doc["result"]["counts_source"] == "brute-force-validated counts"
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--seed", "-1", "error: seed must satisfy 0 <= seed < 2^64, got -1"),
+            ("--seed", str(2**64), f"error: seed must satisfy 0 <= seed < 2^64, got {2**64}"),
+            ("--trials", "0", "error: trials must be at least 1, got 0"),
+        ],
+    )
+    def test_bad_seed_or_trials_is_usage_error(self, capsys, flag, value, message):
+        argv = ["lln", "--mode", "haar", "--q", "2", "--n", "10", "--trials", "2", "--seed", "1"]
+        code = main(argv + [flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == message + "\n"
+
 
 class TestOtherCommands:
     def test_flag_count(self, capsys):

@@ -19,6 +19,7 @@ from hallq.gflinalg import (
     field,
     identity,
     invariant_subspace_count,
+    invariant_subspace_counts,
     invariant_subspaces,
     irreducible_polys,
     jordan_type_unipotent,
@@ -32,6 +33,7 @@ from hallq.gflinalg import (
     poly_to_text,
     primary_element,
     rank,
+    submodule_type_count,
     validate_closed_extension_counts,
 )
 from hallq.partitions import covers_up, enumerate_partitions, gaussian_binomial
@@ -338,23 +340,60 @@ class TestFlagsAndSubspaces:
                 assert spaces
 
     def test_submodule_count_formula(self):
+        # the column sweep and the per-type referee against the matrix level
         for q in (2, 3):
-            for n in range(1, 5):
+            for n in range(0, 5):
                 for rho in enumerate_partitions(n):
                     u = canonical_unipotent(rho, q)
+                    counts = invariant_subspace_counts(rho, q)
+                    referee = referee_counts(rho, q)
                     for d in range(n + 1):
-                        assert invariant_subspace_count(rho, d, q) == len(
-                            invariant_subspaces(u, d)
-                        )
+                        brute = len(invariant_subspaces(u, d))
+                        assert counts[d] == brute
+                        assert referee[d] == brute
 
     def test_submodule_duality(self):
+        # c_k = c_(n-k) (the module is self-dual), c_0 = c_n = 1, and the
+        # invariant lines are the lines of the kernel, of dimension l(rho)
         for q in (2, 3):
-            for n in range(1, 9):
+            for n in range(0, 13):
                 for rho in enumerate_partitions(n):
-                    for d in range(n + 1):
-                        assert invariant_subspace_count(rho, d, q) == invariant_subspace_count(
-                            rho, n - d, q
-                        )
+                    counts = invariant_subspace_counts(rho, q)
+                    assert len(counts) == n + 1
+                    assert counts == counts[::-1]
+                    assert counts[0] == counts[n] == 1
+                    if n:
+                        assert counts[1] == (q ** len(rho) - 1) // (q - 1)
+
+
+def referee_counts(rho, q):
+    """Invariant k-subspace counts for k = 0..|rho|, as the sum over the
+    partitions mu of k of the per-type submodule counts."""
+    return tuple(
+        sum(submodule_type_count(rho, mu, q) for mu in enumerate_partitions(k))
+        for k in range(sum(rho) + 1)
+    )
+
+
+class TestInvariantSubspaceCounts:
+    @pytest.mark.parametrize("q,n_max", [(2, 10), (3, 10), (4, 7)])
+    def test_matches_referee_sum(self, q, n_max):
+        for n in range(0, n_max + 1):
+            for rho in enumerate_partitions(n):
+                assert invariant_subspace_counts(rho, q) == referee_counts(rho, q)
+
+    def test_examples(self):
+        assert invariant_subspace_counts((), 2) == (1,)
+        assert invariant_subspace_counts((1, 1), 2) == (1, 3, 1)
+        assert invariant_subspace_counts((2,), 3) == (1, 1, 1)
+        assert invariant_subspace_counts((2, 1), 2) == (1, 3, 3, 1)
+
+    def test_single_dimension_lookup(self):
+        rho = (3, 2, 2, 1)
+        counts = invariant_subspace_counts(rho, 3)
+        for d in range(-1, 10):
+            expected = counts[d] if 0 <= d <= 8 else 0
+            assert invariant_subspace_count(rho, d, 3) == expected
 
 
 class TestPrimary:

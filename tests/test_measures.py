@@ -238,7 +238,7 @@ class TestFastRoute:
         for spec in (HAAR, ALPHA_SPECS[1], ALPHA_SPECS[5]):
             exact = characteristic_measure(spec, g)
             fast = characteristic_measure(spec, g)
-            for n in range(0, 7):
+            for n in range(0, 10):
                 for rho in enumerate_partitions(n):
                     assert cylinder_prob(exact, rho) == cylinder_prob_fast(fast, rho)
 

@@ -1,4 +1,10 @@
+import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +12,7 @@ from hallq import gflinalg
 from hallq.measures import DeadBranchError, characteristic_measure
 from hallq.partitions import conjugate, covers_up, enumerate_partitions
 from hallq.sampler import (
+    ConditionalLawError,
     CounterRng,
     MatrixGrowthState,
     SamplerConfig,
@@ -133,6 +140,37 @@ class TestMarkov:
         with pytest.raises(DeadBranchError):
             markov_step((2,), meas, rng, 0, 1)
 
+    def test_corrupt_counts_raise(self, monkeypatch):
+        meas = characteristic_measure(TWO, GroundParams(2))
+        monkeypatch.setattr(gflinalg, "extension_counts_closed",
+                            lambda rho, q: {s: 1 for s in covers_up(rho)})
+        with pytest.raises(ConditionalLawError, match="conditional law sums to"):
+            markov_step((2, 1), meas, CounterRng(1), 0, 1, counts="closed")
+
+    def test_corrupt_counts_raise_under_optimize(self):
+        # the law check must not be an assert that python -O strips
+        code = textwrap.dedent("""
+            from fractions import Fraction
+            from hallq import gflinalg, sampler
+            from hallq.measures import characteristic_measure
+            from hallq.partitions import covers_up
+            from hallq.symfun import GroundParams, SpecEntry, ThomaSpec
+            assert False, "asserts are live: not running under -O"
+            gflinalg.extension_counts_closed = lambda rho, q: {s: 1 for s in covers_up(rho)}
+            spec = ThomaSpec(alphas=(SpecEntry(Fraction(2, 3)), SpecEntry(Fraction(1, 3))))
+            meas = characteristic_measure(spec, GroundParams(2))
+            try:
+                sampler.markov_step((2, 1), meas, sampler.CounterRng(1), 0, 1, counts="closed")
+            except sampler.ConditionalLawError as exc:
+                print("raised:", exc)
+        """)
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("raised: conditional law sums to"), done.stdout
+
     def test_beta_measure_forced_path(self):
         meas = characteristic_measure(BETA1, GroundParams(2), convention="expand-beta")
         rng = CounterRng(1)
@@ -196,6 +234,21 @@ class TestRuns:
         rep = run_lln(cfg)
         assert rep.counts_source.startswith("fast-path")
         assert all(sum(rec.final_cols) == 16 for rec in rep.records)
+
+    def test_measure_mode_determinism(self):
+        cfg = SamplerConfig(mode="measure", q=2, n_max=16, trials=4, seed=9, spec=TWO,
+                            fast_counts=True, snapshot_every=1)
+        first = run_lln(cfg)
+        assert first.records == run_lln(cfg).records
+        pooled = run_lln(dataclasses.replace(cfg, threads=2))
+        assert pooled.records == first.records
+        assert pooled.to_json() == first.to_json()
+
+    def test_config_rejects_bad_seed_and_trials(self):
+        for bad in ({"seed": -1}, {"seed": 2**64}, {"trials": 0}):
+            with pytest.raises(ValueError):
+                SamplerConfig(**bad)
+        assert SamplerConfig(seed=2**64 - 1).seed == 2**64 - 1
 
     def test_gate_small(self):
         cfg = SamplerConfig(mode="haar", engine="chain", q=2, n_max=200, trials=60, seed=42)
