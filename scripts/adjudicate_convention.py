@@ -35,7 +35,7 @@ def score(convention: str) -> dict:
             try:
                 for n in range(N_MAX + 1):
                     for rho in enumerate_partitions(n):
-                        value = measures.cylinder_prob(meas, rho)
+                        value = measures.cylinder_via_q(meas, rho)
                         if i == 0 and value != F(1, q ** (n * (n - 1) // 2)):
                             results["haar_recovery"] = False
                         if value != measures.characteristic_cylinder_via_r(spec, rho, ground):

@@ -298,14 +298,14 @@ def cmd_selftest(args) -> int:
         meas = measures.characteristic_measure(haar, g)
         for n in range(depth + 1):
             for rho in enumerate_partitions(n):
-                ok = ok and measures.cylinder_prob(meas, rho) == Fraction(1, q ** (n * (n - 1) // 2))
+                ok = ok and measures.cylinder_via_q(meas, rho) == Fraction(1, q ** (n * (n - 1) // 2))
     checks["haar_recovery"] = ok
     spec2 = ThomaSpec(alphas=(symfun.SpecEntry(Fraction(2, 3)), symfun.SpecEntry(Fraction(1, 3))))
     g2 = GroundParams(2)
     m2 = measures.characteristic_measure(spec2, g2)
     checks["coherence"] = measures.check_coherence(m2, depth).ok
     checks["two_route"] = all(
-        measures.cylinder_prob(m2, rho) == measures.characteristic_cylinder_via_r(spec2, rho, g2)
+        measures.cylinder_via_q(m2, rho) == measures.characteristic_cylinder_via_r(spec2, rho, g2)
         for n in range(depth + 1)
         for rho in enumerate_partitions(n)
     )
@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--q", type=str)
     p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--counts", default="brute", choices=("brute", "closed"))
+    p.add_argument("--counts", default="brute", choices=gflinalg.COUNT_SOURCES)
     p.add_argument("--convention", default=measures.DEFAULT_CONVENTION, choices=measures.CONVENTIONS)
     p.add_argument("--out")
     p.set_defaults(func=cmd_coherence_check)

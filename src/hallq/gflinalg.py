@@ -123,9 +123,13 @@ class FieldCtx:
         elems = range(self.q)
         sample = [(rng.randrange(self.q), rng.randrange(self.q), rng.randrange(self.q)) for _ in range(64)]
         for a, b, c in sample:
-            assert self.mul(a, self.mul(b, c)) == self.mul(self.mul(a, b), c)
-            assert self.mul(a, self.add(b, c)) == self.add(self.mul(a, b), self.mul(a, c))
-        assert all(self.mul(a, self.inv(a)) == 1 for a in elems if a)
+            if self.mul(a, self.mul(b, c)) != self.mul(self.mul(a, b), c):
+                raise ArithmeticError(f"F_{self.q} multiplication is not associative at ({a}, {b}, {c})")
+            if self.mul(a, self.add(b, c)) != self.add(self.mul(a, b), self.mul(a, c)):
+                raise ArithmeticError(f"F_{self.q} multiplication does not distribute at ({a}, {b}, {c})")
+        for a in elems:
+            if a and self.mul(a, self.inv(a)) != 1:
+                raise ArithmeticError(f"F_{self.q}: {a} * {self.inv(a)} != 1")
 
     # -- arithmetic --
 
@@ -591,7 +595,8 @@ def conj_class_type(g: MatGF) -> dict[tuple[int, ...], Partition]:
         d = len(f) - 1
         out[f] = _primary_partition(g, f, d)
     total = sum((len(f) - 1) * sum(mu) for f, mu in out.items())
-    assert total == n, "type size identity violated"
+    if total != n:
+        raise ArithmeticError(f"class type {out} has size {total}, the matrix has size {n}")
     return out
 
 
@@ -690,6 +695,19 @@ def extension_counts_closed(rho: Partition, q: int) -> dict[Partition, int]:
         if c:
             out[sigma] = c
     return out
+
+
+COUNT_SOURCES = ("brute", "closed")
+
+
+def extension_counts_from(source: str, rho: Partition, q: int) -> dict[Partition, int]:
+    """Extension counts from the named source: ``"brute"`` (the matrix-level
+    census) or ``"closed"`` (the closed form)."""
+    if source == "brute":
+        return extension_counts(rho, q)
+    if source == "closed":
+        return extension_counts_closed(rho, q)
+    raise ValueError(f"unknown counts source {source!r}; expected one of {COUNT_SOURCES}")
 
 
 def _box_column(rho: Partition, sigma: Partition) -> int:

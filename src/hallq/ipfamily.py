@@ -67,12 +67,16 @@ class FiniteGroupTable:
             pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(2000)]
         for i, j in pairs:
             self.mul(i, j)  # raises KeyError if not closed
+        label = self.name or "group"
         for _ in range(min(300, n * n)):
             i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-            assert self.mul(self.mul(i, j), k) == self.mul(i, self.mul(j, k))
+            if self.mul(self.mul(i, j), k) != self.mul(i, self.mul(j, k)):
+                raise ValueError(f"{label}: multiplication is not associative at elements ({i}, {j}, {k})")
         for i in range(n):
-            assert self.mul(i, e) == i and self.mul(e, i) == i
-            assert self.mul(i, self.inverse[i]) == e
+            if self.mul(i, e) != i or self.mul(e, i) != i:
+                raise ValueError(f"{label}: element {i} is not fixed by the identity {e}")
+            if self.mul(i, self.inverse[i]) != e:
+                raise ValueError(f"{label}: element {i} times its inverse {self.inverse[i]} is not {e}")
 
 
 def cyclic_group(m: int) -> FiniteGroupTable:
@@ -113,8 +117,10 @@ class IPLevel:
         for _ in range(min(200, len(pl) ** 2)):
             a, b = rng.choice(pl), rng.choice(pl)
             ab = self.G.mul(a, b)
-            assert ab in self.pi, "P is not closed"
-            assert self.pi[ab] == self.G_prev.mul(self.pi[a], self.pi[b])
+            if ab not in self.pi:
+                raise ValueError(f"P is not closed: {a} * {b} = {ab} lies outside P")
+            if self.pi[ab] != self.G_prev.mul(self.pi[a], self.pi[b]):
+                raise ValueError(f"the projection is not multiplicative at ({a}, {b})")
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,16 @@ The same number has an independent second route: q^(-n(n-1)/2) times the
 r-function of the unexpanded point (a Kostka-Foulkes sum against Schur
 values).  Exact equality of the two routes is a shipped test, not an
 assumption.
+
+``cylinder_prob`` is the one memoized entry point, and the measure fixes its
+route (``CentralMeasure.route``).  A point with at most two alpha atoms and
+nothing else, or a single beta atom and nothing else, has a fast r-route
+(``r_function_fast``, no degree cap); it values the unexpanded point, which
+equals the Q-route at the ``expand-both`` point.  So a measure takes the fast
+r-route exactly when its label has one and its evaluation point is the
+``expand-both`` expansion of the label; every other measure takes the
+Q-route.  The Q-route stays callable by name (``cylinder_via_q``), unmemoized,
+as the referee the tests hold the dispatch to.
 """
 
 from __future__ import annotations
@@ -40,6 +50,8 @@ from .symfun import GroundParams, ThomaSpec
 
 CONVENTIONS = ("expand-alpha", "expand-beta", "expand-none", "expand-both")
 DEFAULT_CONVENTION = "expand-alpha"
+Q_ROUTE = "q"
+FAST_R_ROUTE = "fast-r"
 
 
 class NegativeCylinderError(ValueError):
@@ -63,18 +75,26 @@ def expand_spec(spec: ThomaSpec, convention: str) -> ThomaSpec:
 
 @dataclass
 class CentralMeasure:
-    """A central measure with memoized exact cylinder probabilities."""
+    """A central measure with memoized exact cylinder probabilities.
+
+    ``route`` is derived: ``FAST_R_ROUTE`` when the label has a fast r-route
+    and the evaluation point is its ``expand-both`` expansion, else
+    ``Q_ROUTE``.
+    """
 
     label: ThomaSpec
     ground: GroundParams
     convention: str = DEFAULT_CONVENTION
     eval_spec: ThomaSpec = None
     memo: dict[Partition, Fraction] = field(default_factory=dict)
+    route: str = field(init=False)
 
     def __post_init__(self):
         self.label.require_normalized()
         if self.eval_spec is None:
             self.eval_spec = expand_spec(self.label, self.convention)
+        fast = fast_route_available(self.label) and self.eval_spec == expand_spec(self.label, "expand-both")
+        self.route = FAST_R_ROUTE if fast else Q_ROUTE
 
     def cylinder(self, rho: Partition) -> Fraction:
         return cylinder_prob(self, rho)
@@ -92,14 +112,15 @@ def _level_factor(q: Fraction, n: int) -> Fraction:
 
 
 def cylinder_prob(meas: CentralMeasure, rho: Partition) -> Fraction:
-    """Exact probability of one level-n cylinder of Jordan type rho."""
+    """Exact probability of one level-n cylinder of Jordan type rho, by the
+    measure's route, memoized on the measure."""
     rho = validate_partition(rho)
     if rho in meas.memo:
         return meas.memo[rho]
-    n = sum(rho)
-    check_degree(n)
-    t = meas.ground.t
-    value = _level_factor(meas.ground.q, n) * _q_over_normalization(rho, meas.eval_spec, t)
+    if meas.route == FAST_R_ROUTE:
+        value = _level_factor(meas.ground.q, sum(rho)) * r_function_fast(rho, meas.label, meas.ground.q)
+    else:
+        value = cylinder_via_q(meas, rho)
     if value < 0:
         raise NegativeCylinderError(
             f"negative cylinder value {value} at rho={rho}; "
@@ -109,23 +130,18 @@ def cylinder_prob(meas: CentralMeasure, rho: Partition) -> Fraction:
     return value
 
 
-def _q_over_normalization(rho: Partition, spec, t: Fraction) -> Fraction:
-    """t^(-n(rho)) (1-t)^(-n) Q_rho(spec; t), the Haar-relative density."""
+def cylinder_via_q(meas: CentralMeasure, rho: Partition) -> Fraction:
+    """The Q-route, whatever the measure's route, unmemoized:
+    q^(-n(n-1)/2) t^(-n(rho)) (1-t)^(-n) Q_rho(eval_spec; t)."""
+    rho = validate_partition(rho)
     n = sum(rho)
+    check_degree(n)
     if n == 0:
         return Fraction(1)
-    mat = symfun.hl_q_in_p(n, t)
-    i = partition_index(n)[rho]
-    pv = symfun.power_values(spec, t, n)
-    total = Fraction(0)
-    for j, sig in enumerate(enumerate_partitions(n)):
-        c = mat[i][j]
-        if c:
-            prod = Fraction(1)
-            for p in sig:
-                prod *= pv[p - 1]
-            total += c * prod
-    return total / (t ** n_stat(rho) * (1 - t) ** n)
+    t = meas.ground.t
+    row = symfun.hl_q_in_p(n, t)[partition_index(n)[rho]]
+    (q_value,) = symfun.evaluate_rows((row,), meas.eval_spec, t, n)
+    return _level_factor(meas.ground.q, n) * q_value / (t ** n_stat(rho) * (1 - t) ** n)
 
 
 def characteristic_cylinder_via_r(spec: ThomaSpec, rho: Partition, ground: GroundParams) -> Fraction:
@@ -161,14 +177,6 @@ class CoherenceReport:
         return not self.violations
 
 
-def _extension_counts(rho: Partition, q: int, source: str) -> dict[Partition, int]:
-    if source == "brute":
-        return gflinalg.extension_counts(rho, q)
-    if source == "closed":
-        return gflinalg.extension_counts_closed(rho, q)
-    raise ValueError(f"unknown counts source {source!r}")
-
-
 def check_coherence(meas: CentralMeasure, n_max: int, counts: str = "brute") -> CoherenceReport:
     """Exact check of M_rho = sum over covers sigma of c_{rho,sigma} M_sigma
     for every rho of size below n_max."""
@@ -178,7 +186,7 @@ def check_coherence(meas: CentralMeasure, n_max: int, counts: str = "brute") -> 
     for n in range(0, n_max):
         for rho in enumerate_partitions(n):
             lhs = cylinder_prob(meas, rho)
-            cts = _extension_counts(rho, q, counts)
+            cts = gflinalg.extension_counts_from(counts, rho, q)
             rhs = sum(
                 (Fraction(c) * cylinder_prob(meas, sigma) for sigma, c in cts.items()),
                 Fraction(0),
@@ -234,7 +242,7 @@ def check_normalization(meas: CentralMeasure, n: int, counts: str = "auto") -> N
 
 
 # ---------------------------------------------------------------------------
-# fast cylinder route for low-width points (used by the growth sampler)
+# fast cylinder route for low-width points
 # ---------------------------------------------------------------------------
 
 
@@ -284,15 +292,10 @@ def r_function_fast(rho: Partition, spec: ThomaSpec, q: Fraction) -> Fraction:
 
 
 def cylinder_prob_fast(meas: CentralMeasure, rho: Partition) -> Fraction:
-    """Cylinder probability through the fast r route (no degree cap)."""
-    if not fast_route_available(meas.label):
-        raise ValueError("fast route needs <= 2 alpha atoms or a single beta atom")
-    rho = validate_partition(rho)
-    if rho in meas.memo:
-        return meas.memo[rho]
-    n = sum(rho)
-    value = _level_factor(meas.ground.q, n) * r_function_fast(rho, meas.label, meas.ground.q)
-    if value < 0:
-        raise NegativeCylinderError(f"negative cylinder value at {rho}")
-    meas.memo[rho] = value
-    return value
+    """``cylinder_prob`` for a measure whose route is the fast r-route."""
+    if meas.route != FAST_R_ROUTE:
+        raise ValueError(
+            f"the fast r-route needs <= 2 alpha atoms or a single beta atom, evaluated at the "
+            f"expand-both point; this measure (convention {meas.convention!r}) takes the Q-route"
+        )
+    return cylinder_prob(meas, rho)

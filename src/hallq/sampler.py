@@ -315,7 +315,7 @@ def _extend_generic(state: MatrixGrowthState, b) -> None:
 
 
 def _refresh(state: MatrixGrowthState) -> None:
-    """Rebuild the image filtration from matrix powers and assert equality."""
+    """Rebuild the image filtration from matrix powers and check equality."""
     n = state.n
     if state.q == 2:
         power = list(state.rows)
@@ -332,7 +332,7 @@ def _refresh(state: MatrixGrowthState) -> None:
                 break
             fresh.append(basis)
             power = [_gf2_matvec_rows(state.rows, row, n) for row in power]
-        _assert_same_filtration(state.images, fresh)
+        _check_same_filtration(state.images, fresh)
     else:
         ctx = gflinalg.field(state.q)
         power = [list(r) for r in state.rows]
@@ -345,7 +345,7 @@ def _refresh(state: MatrixGrowthState) -> None:
                 break
             fresh.append(basis)
             power = [[_dot(ctx, state.rows[i], [p[j] for p in power]) for j in range(n)] for i in range(n)]
-        _assert_same_filtration(state.images, fresh)
+        _check_same_filtration(state.images, fresh)
     state.images = [b for b in state.images if b.dim]
 
 
@@ -362,13 +362,16 @@ def _gf2_matvec_rows(rows: list[int], row_vec: int, n: int) -> int:
     return out
 
 
-def _assert_same_filtration(incremental, fresh) -> None:
+def _check_same_filtration(incremental, fresh) -> None:
     live = [b for b in incremental if b.dim]
-    assert len(live) == len(fresh), "filtration depth drifted"
-    for inc, ref in zip(live, fresh):
-        assert inc.dim == ref.dim, "filtration rank drifted"
+    if len(live) != len(fresh):
+        raise ArithmeticError(f"filtration depth drifted: {len(live)} incremental, {len(fresh)} rebuilt")
+    for k, (inc, ref) in enumerate(zip(live, fresh), start=1):
+        if inc.dim != ref.dim:
+            raise ArithmeticError(f"rank of Im xi^{k} drifted: {inc.dim} incremental, {ref.dim} rebuilt")
         for v in ref.vectors():
-            assert inc.contains(v), "filtration span drifted"
+            if not inc.contains(v):
+                raise ArithmeticError(f"span of Im xi^{k} drifted: rebuilt vector {v} is missing")
 
 
 class ConditionalLawError(ArithmeticError):
@@ -379,22 +382,18 @@ def markov_step(rho: Partition, meas: CentralMeasure, rng: CounterRng, trial: in
                 counts: str = "brute") -> Partition:
     """One exact conditional growth step under a central measure."""
     rho = validate_partition(rho)
-    m_rho = _measure_cylinder(meas, rho)
+    m_rho = measures.cylinder_prob(meas, rho)
     if m_rho == 0:
         raise DeadBranchError(f"zero-probability cylinder at {rho}")
     q = int(meas.ground.q)
-    cts = (
-        gflinalg.extension_counts(rho, q)
-        if counts == "brute"
-        else gflinalg.extension_counts_closed(rho, q)
-    )
+    cts = gflinalg.extension_counts_from(counts, rho, q)
     sigmas = []
     probs = []
     for sigma in covers_up(rho):
         c = cts.get(sigma, 0)
         if not c:
             continue
-        p = Fraction(c) * _measure_cylinder(meas, sigma) / m_rho
+        p = Fraction(c) * measures.cylinder_prob(meas, sigma) / m_rho
         if p:
             sigmas.append(sigma)
             probs.append(p)
@@ -409,12 +408,6 @@ def markov_step(rho: Partition, meas: CentralMeasure, rng: CounterRng, trial: in
         if draw < acc:
             return sigma
     raise ConditionalLawError(f"draw {draw} of {denom} fell past the law at {rho} (mass {acc})")
-
-
-def _measure_cylinder(meas: CentralMeasure, rho: Partition) -> Fraction:
-    if measures.fast_route_available(meas.label):
-        return measures.cylinder_prob_fast(meas, rho)
-    return measures.cylinder_prob(meas, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -668,13 +661,15 @@ def run_lln(config: SamplerConfig) -> FrequencyReport:
     indices = list(range(config.trials))
     if config.threads > 1:
         chunks = [indices[i :: config.threads] for i in range(config.threads)]
-        try:
-            from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=config.threads) as pool:
-                parts = list(pool.map(run_trials, [config] * len(chunks), chunks))
-        except Exception:
+        try:
+            pool = ProcessPoolExecutor(max_workers=config.threads)
+        except (OSError, NotImplementedError):  # no process pool on this platform
             parts = [run_trials(config, chunk) for chunk in chunks]
+        else:
+            with pool:
+                parts = list(pool.map(run_trials, [config] * len(chunks), chunks))
         records = merge_records(parts)
     else:
         records = run_trials(config, indices)

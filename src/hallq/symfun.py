@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -329,36 +330,64 @@ def _cache_path(kind: str, n: int, t: Fraction) -> Path | None:
 
 
 def _cache_load(kind: str, n: int, t: Fraction):
+    """The stored p(n) x p(n) matrix, or None on a miss: no file, an
+    unreadable or malformed one, or a header for another matrix."""
     path = _cache_path(kind, n, t)
     if path is None or not path.exists():
         return None
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        if doc.get("format") != CACHE_FORMAT or doc.get("n") != n or doc.get("t") != str(t):
+        header = (doc.get("format"), doc.get("kind"), doc.get("n"), doc.get("t"))
+        if header != (CACHE_FORMAT, kind, n, str(t)):
             return None
-        return tuple(tuple(Fraction(x) for x in row) for row in doc["rows"])
-    except (OSError, ValueError, KeyError):
+        rows = tuple(tuple(Fraction(x) for x in row) for row in doc["rows"])
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError):
         return None
+    size = len(enumerate_partitions(n))
+    if len(rows) != size or any(len(row) != size for row in rows):
+        return None
+    return rows
 
 
 def _cache_store(kind: str, n: int, t: Fraction, rows) -> None:
+    """Write the matrix to a temporary file in the cache directory and move
+    it into place, so that a reader never sees a partial file."""
     path = _cache_path(kind, n, t)
     if path is None:
         return
+    doc = {
+        "format": CACHE_FORMAT,
+        "kind": kind,
+        "n": n,
+        "t": str(t),
+        "rows": [[str(x) for x in row] for row in rows],
+    }
+    tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        doc = {
-            "format": CACHE_FORMAT,
-            "kind": kind,
-            "n": n,
-            "t": str(t),
-            "rows": [[str(x) for x in row] for row in rows],
-        }
-        with open(path, "w", encoding="utf-8") as fh:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
+        os.replace(tmp, path)
     except OSError:
-        pass
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+
+
+def _first_off_unit_upper(K) -> tuple[int, int] | None:
+    """The first entry (i, j) that keeps K from being unit upper triangular,
+    or None."""
+    for i, row in enumerate(K):
+        if row[i] != 1:
+            return i, i
+        for j in range(i):
+            if row[j] != 0:
+                return i, j
+    return None
 
 
 @lru_cache(maxsize=None)
@@ -366,12 +395,13 @@ def kostka_foulkes(n: int, t: Fraction) -> tuple[tuple[Fraction, ...], ...]:
     """The degree-n Kostka-Foulkes matrix at exact rational t.
 
     Cached in memory per (n, t); persisted under the directory named by the
-    HALLQ_CACHE_DIR environment variable when it is set.
+    HALLQ_CACHE_DIR environment variable when it is set.  A stored matrix
+    that is not unit upper triangular is a miss.
     """
     check_degree(n)
     t = Fraction(t)
     cached = _cache_load("kostka-foulkes", n, t)
-    if cached is not None:
+    if cached is not None and _first_off_unit_upper(cached) is None:
         return cached
     parts = enumerate_partitions(n)
     rows = tuple(
@@ -480,7 +510,7 @@ def hl_transition(n: int, t: Fraction) -> tuple:
     """(P-in-monomial, Q-in-monomial, b coefficients) at degree n, rational t.
 
     Solves s = K(t) P by back substitution; K(t) is unit upper triangular in
-    the reverse-lex indexing, which is asserted.
+    the reverse-lex indexing, which is checked (``ArithmeticError``).
     """
     check_degree(n)
     t = Fraction(t)
@@ -489,10 +519,13 @@ def hl_transition(n: int, t: Fraction) -> tuple:
     parts = enumerate_partitions(n)
     size = len(parts)
     K = kostka_foulkes(n, t)
-    for i in range(size):
-        assert K[i][i] == 1, "Kostka-Foulkes diagonal must be 1"
-        for j in range(i):
-            assert K[i][j] == 0, "Kostka-Foulkes must be upper triangular"
+    bad = _first_off_unit_upper(K)
+    if bad is not None:
+        i, j = bad
+        raise ArithmeticError(
+            f"Kostka-Foulkes matrix at n={n}, t={t} is not unit upper triangular: "
+            f"entry ({parts[i]}, {parts[j]}) is {K[i][j]}"
+        )
     S = s_in_m(n)
     P = [[Fraction(0)] * size for _ in range(size)]
     for i in range(size - 1, -1, -1):
@@ -584,6 +617,24 @@ def power_values(spec: EvalPoint, t: Rational, n: int) -> tuple[Fraction, ...]:
     return tuple(spec.power_sum(m, t) for m in range(1, n + 1))
 
 
+def evaluate_rows(
+    rows: Sequence[Sequence[Fraction]], spec: EvalPoint, t: Rational, n: int
+) -> tuple[Fraction, ...]:
+    """Each row, the power-sum coefficients (reverse-lex order) of a degree-n
+    symmetric function, evaluated at the point; each p_rho(point) is
+    computed once per call."""
+    pv = power_values(spec, t, n)
+    products = []
+    for rho in enumerate_partitions(n):
+        prod = Fraction(1)
+        for part in rho:
+            prod *= pv[part - 1]
+        products.append(prod)
+    return tuple(
+        sum((c * prod for c, prod in zip(row, products) if c), Fraction(0)) for row in rows
+    )
+
+
 def evaluate(f: SymFuncVec, spec: EvalPoint, t: Rational | None = None) -> Fraction:
     """Evaluate a symmetric function at a ThomaSpec (or functional), exactly.
 
@@ -595,35 +646,18 @@ def evaluate(f: SymFuncVec, spec: EvalPoint, t: Rational | None = None) -> Fract
     g = to_power_sums(f)
     if g.degree == 0:
         return sum((c for _, c in g.coeffs), Fraction(0))
-    pv = power_values(spec, t, g.degree)
-    total = Fraction(0)
+    idx = partition_index(g.degree)
+    row = [Fraction(0)] * len(idx)
     for rho, c in g.coeffs:
-        prod = Fraction(1)
-        for part in rho:
-            prod *= pv[part - 1]
-        total += c * prod
-    return total
+        row[idx[rho]] = c
+    return evaluate_rows((row,), spec, t, g.degree)[0]
 
 
 def schur_values(spec: EvalPoint, t: Rational, n: int) -> tuple[Fraction, ...]:
     """s_lam at the point, for all lam of degree n in reverse-lex order."""
     if n == 0:
         return (Fraction(1),)
-    pv = power_values(spec, t, n)
-    mat = s_in_p(n)
-    parts = enumerate_partitions(n)
-    vals = []
-    for i in range(len(parts)):
-        total = Fraction(0)
-        for j, rho in enumerate(parts):
-            c = mat[i][j]
-            if c:
-                prod = Fraction(1)
-                for part in rho:
-                    prod *= pv[part - 1]
-                total += c * prod
-        vals.append(total)
-    return tuple(vals)
+    return evaluate_rows(s_in_p(n), spec, t, n)
 
 
 @lru_cache(maxsize=None)
@@ -636,21 +670,7 @@ def monomial_values(spec: EvalPoint, t: Rational, n: int) -> tuple[Fraction, ...
     """m_nu at the point, for all nu of degree n in reverse-lex order."""
     if n == 0:
         return (Fraction(1),)
-    pv = power_values(spec, t, n)
-    mat = m_in_p(n)
-    parts = enumerate_partitions(n)
-    vals = []
-    for i in range(len(parts)):
-        total = Fraction(0)
-        for j, rho in enumerate(parts):
-            c = mat[i][j]
-            if c:
-                prod = Fraction(1)
-                for part in rho:
-                    prod *= pv[part - 1]
-                total += c * prod
-        vals.append(total)
-    return tuple(vals)
+    return evaluate_rows(m_in_p(n), spec, t, n)
 
 
 def r_function(rho: Partition, spec: EvalPoint, t: Rational) -> Fraction:

@@ -79,7 +79,7 @@ def test_criterion_02_haar_recovery():
         meas = measures.characteristic_measure(haar, GroundParams(q))
         for n in range(0, 7):
             for rho in enumerate_partitions(n):
-                ok = ok and measures.cylinder_prob(meas, rho) == F(1, q ** (n * (n - 1) // 2))
+                ok = ok and measures.cylinder_via_q(meas, rho) == F(1, q ** (n * (n - 1) // 2))
     verdict(2, "Haar recovery M_rho = q^(-n(n-1)/2), n <= 6, q in {2,3}", ok)
 
 
@@ -94,7 +94,7 @@ def test_criterion_03_two_route_equality():
             for n in range(0, 7):
                 for rho in enumerate_partitions(n):
                     count += 1
-                    ok = ok and measures.cylinder_prob(meas, rho) == measures.characteristic_cylinder_via_r(spec, rho, g)
+                    ok = ok and measures.cylinder_via_q(meas, rho) == measures.characteristic_cylinder_via_r(spec, rho, g)
     verdict(3, "two-route equality (Q-route == r-route), |rho| <= 6, 10 specs", ok,
             f"{count} values")
 
@@ -279,12 +279,12 @@ def test_criterion_11_convention_adjudication():
                     haar_ok = True
                     if spec == corpus[0]:
                         haar_ok = all(
-                            measures.cylinder_prob(meas, rho) == F(1, q ** (n * (n - 1) // 2))
+                            measures.cylinder_via_q(meas, rho) == F(1, q ** (n * (n - 1) // 2))
                             for n in range(5)
                             for rho in enumerate_partitions(n)
                         )
                     routes_ok = all(
-                        measures.cylinder_prob(meas, rho)
+                        measures.cylinder_via_q(meas, rho)
                         == measures.characteristic_cylinder_via_r(spec, rho, g)
                         for n in range(5)
                         for rho in enumerate_partitions(n)

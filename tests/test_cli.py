@@ -139,6 +139,16 @@ class TestLln:
         assert code == 0
         assert doc["result"]["counts_source"] == "brute-force-validated counts"
 
+    def test_measure_mode_refuses_a_convention_that_does_not_fit(self, capsys):
+        # lln has no --convention flag: a pure-beta point under expand-alpha is refused
+        code = main(["lln", "--mode", "measure", "--spec", str(SPECS / "beta_one.spec"),
+                     "--n", "6", "--trials", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: negative cylinder value")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
     @pytest.mark.parametrize(
         "flag,value,message",
         [

@@ -217,7 +217,7 @@ class TestCoherenceBridge:
 
 class TestTableVerification:
     def test_rejects_broken_mul(self):
-        with pytest.raises((AssertionError, KeyError)):
+        with pytest.raises((ValueError, KeyError)):
             FiniteGroupTable(
                 range(4),
                 mul=lambda a, b: (a + b + 1) % 4,  # no identity behaves

@@ -6,6 +6,8 @@ from hallq import gflinalg
 from hallq.measures import (
     CONVENTIONS,
     DEFAULT_CONVENTION,
+    FAST_R_ROUTE,
+    Q_ROUTE,
     NegativeCylinderError,
     characteristic_cylinder_via_r,
     characteristic_measure,
@@ -13,6 +15,7 @@ from hallq.measures import (
     check_normalization,
     cylinder_prob,
     cylinder_prob_fast,
+    cylinder_via_q,
     expand_spec,
     fast_route_available,
     r_function_fast,
@@ -41,7 +44,7 @@ class TestHaar:
         meas = characteristic_measure(HAAR, GroundParams(q))
         for n in range(0, 7):
             for rho in enumerate_partitions(n):
-                assert cylinder_prob(meas, rho) == F(1, q ** (n * (n - 1) // 2))
+                assert cylinder_via_q(meas, rho) == F(1, q ** (n * (n - 1) // 2))
 
     def test_level_three_cylinder(self):
         meas = characteristic_measure(HAAR, GroundParams(2))
@@ -62,7 +65,7 @@ class TestTwoRoutes:
             meas = characteristic_measure(spec, g)
             for n in range(0, 6):
                 for rho in enumerate_partitions(n):
-                    assert cylinder_prob(meas, rho) == characteristic_cylinder_via_r(
+                    assert cylinder_via_q(meas, rho) == characteristic_cylinder_via_r(
                         spec, rho, g
                     )
 
@@ -71,14 +74,14 @@ class TestTwoRoutes:
         meas = characteristic_measure(BETA1, g, convention="expand-beta")
         for n in range(0, 6):
             for rho in enumerate_partitions(n):
-                assert cylinder_prob(meas, rho) == characteristic_cylinder_via_r(BETA1, rho, g)
+                assert cylinder_via_q(meas, rho) == characteristic_cylinder_via_r(BETA1, rho, g)
 
     def test_equality_mixed_spec_needs_both(self):
         g = GroundParams(2)
         meas = characteristic_measure(MIXED, g, convention="expand-both")
         for n in range(0, 6):
             for rho in enumerate_partitions(n):
-                assert cylinder_prob(meas, rho) == characteristic_cylinder_via_r(MIXED, rho, g)
+                assert cylinder_via_q(meas, rho) == characteristic_cylinder_via_r(MIXED, rho, g)
 
     def test_via_r_is_level_weighted_r(self):
         g = GroundParams(2)
@@ -210,7 +213,7 @@ class TestConventions:
                     try:
                         for n in range(0, 5):
                             for rho in enumerate_partitions(n):
-                                v = cylinder_prob(meas, rho)
+                                v = cylinder_via_q(meas, rho)
                                 if spec == HAAR and v != F(1, q ** (n * (n - 1) // 2)):
                                     ok = False
                                 if v != characteristic_cylinder_via_r(spec, rho, g):
@@ -240,7 +243,7 @@ class TestFastRoute:
             fast = characteristic_measure(spec, g)
             for n in range(0, 10):
                 for rho in enumerate_partitions(n):
-                    assert cylinder_prob(exact, rho) == cylinder_prob_fast(fast, rho)
+                    assert cylinder_via_q(exact, rho) == cylinder_prob_fast(fast, rho)
 
     def test_beta_fast(self):
         g = GroundParams(2)
@@ -262,3 +265,36 @@ class TestFastRoute:
             F(0),
         )
         assert lhs == rhs
+
+
+class TestRouteRule:
+    def test_route_follows_label_and_convention(self):
+        g = GroundParams(2)
+        two = ALPHA_SPECS[1]
+        cases = [
+            (HAAR, "expand-alpha", FAST_R_ROUTE),
+            (two, "expand-alpha", FAST_R_ROUTE),
+            (two, "expand-both", FAST_R_ROUTE),
+            (two, "expand-beta", Q_ROUTE),
+            (two, "expand-none", Q_ROUTE),
+            (BETA1, "expand-beta", FAST_R_ROUTE),
+            (BETA1, "expand-both", FAST_R_ROUTE),
+            (BETA1, "expand-alpha", Q_ROUTE),
+            (BETA1, "expand-none", Q_ROUTE),
+            (ALPHA_SPECS[2], "expand-alpha", Q_ROUTE),
+            (MIXED, "expand-both", Q_ROUTE),
+        ]
+        for spec, convention, route in cases:
+            assert characteristic_measure(spec, g, convention).route == route, (spec, convention)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_unexpanded_two_atoms_take_the_q_route(self, q):
+        g = GroundParams(q)
+        meas = characteristic_measure(ALPHA_SPECS[1], g, convention="expand-none")
+        values = {rho: cylinder_prob(meas, rho) for n in range(6) for rho in enumerate_partitions(n)}
+        assert values == {rho: cylinder_via_q(meas, rho) for rho in values}
+        # a different measure from the expand-alpha one, which the fast route gives
+        assert values[2, 1, 1] == 0
+        assert characteristic_cylinder_via_r(ALPHA_SPECS[1], (2, 1, 1), g) > 0
+        with pytest.raises(ValueError, match="takes the Q-route"):
+            cylinder_prob_fast(meas, (2, 1))

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from hallq import gflinalg
-from hallq.measures import DeadBranchError, characteristic_measure
+from hallq import gflinalg, sampler
+from hallq.measures import DeadBranchError, characteristic_measure, check_coherence
 from hallq.partitions import conjugate, covers_up, enumerate_partitions
 from hallq.sampler import (
     ConditionalLawError,
@@ -30,6 +30,15 @@ from hallq.symfun import GroundParams, SpecEntry, ThomaSpec
 HAAR = ThomaSpec(alphas=(SpecEntry(F(1)),))
 TWO = ThomaSpec(alphas=(SpecEntry(F(2, 3)), SpecEntry(F(1, 3))))
 BETA1 = ThomaSpec(betas=(SpecEntry(F(1)),))
+
+TEST_PID = os.getpid()
+
+
+def _run_trials_failing_in_workers(config, trial_indices):
+    """``run_trials`` that fails in every process but the test's own."""
+    if os.getpid() != TEST_PID:
+        raise RuntimeError(f"worker failure on trials {trial_indices}")
+    return run_trials(config, trial_indices)
 
 
 class TestRng:
@@ -171,6 +180,13 @@ class TestMarkov:
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("raised: conditional law sums to"), done.stdout
 
+    def test_unknown_counts_source_is_rejected(self):
+        meas = characteristic_measure(TWO, GroundParams(2))
+        with pytest.raises(ValueError, match="unknown counts source 'bogus'"):
+            markov_step((2, 1), meas, CounterRng(1), 0, 1, counts="bogus")
+        with pytest.raises(ValueError, match="unknown counts source 'bogus'"):
+            check_coherence(meas, 2, counts="bogus")
+
     def test_beta_measure_forced_path(self):
         meas = characteristic_measure(BETA1, GroundParams(2), convention="expand-beta")
         rng = CounterRng(1)
@@ -243,6 +259,21 @@ class TestRuns:
         pooled = run_lln(dataclasses.replace(cfg, threads=2))
         assert pooled.records == first.records
         assert pooled.to_json() == first.to_json()
+
+    def test_measure_mode_follows_the_convention(self):
+        cfg = SamplerConfig(mode="measure", q=2, n_max=8, trials=6, seed=5, spec=TWO, snapshot_every=1)
+        expanded = run_lln(cfg)
+        unexpanded = run_lln(dataclasses.replace(cfg, convention="expand-none"))
+        assert [r.snapshots for r in unexpanded.records] != [r.snapshots for r in expanded.records]
+        # Q at the two unexpanded atoms vanishes past two rows
+        assert all(len(r.final_rows) <= 2 for r in unexpanded.records)
+        assert any(len(r.final_rows) > 2 for r in expanded.records)
+
+    def test_worker_error_propagates_without_serial_rerun(self, monkeypatch):
+        monkeypatch.setattr(sampler, "run_trials", _run_trials_failing_in_workers)
+        cfg = SamplerConfig(mode="haar", engine="chain", q=2, n_max=10, trials=4, seed=3, threads=2)
+        with pytest.raises(RuntimeError, match="worker failure"):
+            run_lln(cfg)
 
     def test_config_rejects_bad_seed_and_trials(self):
         for bad in ({"seed": -1}, {"seed": 2**64}, {"trials": 0}):

@@ -1,9 +1,16 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hallq import symfun
 from hallq.partitions import enumerate_partitions, n_stat, partition_index
 from hallq.symfun import (
     GroundParams,
@@ -273,3 +280,86 @@ class TestGround:
         assert g.t == F(1, 2) and g.t * g.q == 1
         with pytest.raises(ValueError):
             GroundParams(1)
+
+
+class TestDiskCache:
+    N = 4
+
+    @pytest.fixture
+    def cache_dir(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(symfun.CACHE_ENV_VAR, str(tmp_path))
+        kostka_foulkes.cache_clear()
+        yield tmp_path
+        kostka_foulkes.cache_clear()
+
+    def reference(self):
+        parts = enumerate_partitions(self.N)
+        return tuple(tuple(kostka_foulkes_entry(lam, mu, HALF) for mu in parts) for lam in parts)
+
+    def write(self, doc):
+        path = symfun._cache_path("kostka-foulkes", self.N, HALF)
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
+        return path
+
+    def doc(self, rows, **header):
+        doc = {"format": symfun.CACHE_FORMAT, "kind": "kostka-foulkes", "n": self.N, "t": str(HALF),
+               "rows": [[str(x) for x in row] for row in rows]}
+        return {**doc, **header}
+
+    def test_round_trip(self, cache_dir, monkeypatch):
+        rows = kostka_foulkes(self.N, HALF)
+        assert [p.name for p in cache_dir.iterdir()] == [f"kostka-foulkes-n{self.N}-t1_2.json"]
+        kostka_foulkes.cache_clear()
+        monkeypatch.setattr(symfun, "kostka_foulkes_entry", lambda *args: pytest.fail("recomputed"))
+        assert kostka_foulkes(self.N, HALF) == rows == self.reference()
+
+    @pytest.mark.parametrize("text", ["", "{not json", "[]", '{"format": 1}'])
+    def test_corrupt_file_is_a_miss(self, cache_dir, text):
+        path = self.write(text)
+        assert kostka_foulkes(self.N, HALF) == self.reference()
+        assert json.loads(path.read_text(encoding="utf-8")) == self.doc(self.reference())
+
+    @pytest.mark.parametrize(
+        "header",
+        [{"format": "hallq-matrix-cache-v0"}, {"kind": "hl-q-in-p"}, {"n": 3}, {"t": "1/3"}],
+    )
+    def test_wrong_header_is_a_miss(self, cache_dir, header):
+        identity = [[F(int(i == j)) for j in range(5)] for i in range(5)]
+        self.write(self.doc(identity, **header))
+        assert kostka_foulkes(self.N, HALF) == self.reference()
+
+    def test_matrix_that_is_not_unit_upper_triangular_is_a_miss(self, cache_dir):
+        rows = [list(row) for row in self.reference()]
+        rows[3][1] = F(1)
+        self.write(self.doc(rows))
+        assert kostka_foulkes(self.N, HALF) == self.reference()
+
+    def test_wrong_shape_is_a_miss(self, cache_dir):
+        self.write(self.doc([[F(1)]]))
+        assert kostka_foulkes(self.N, HALF) == self.reference()
+
+
+def test_non_triangular_kostka_foulkes_raises_under_optimize():
+    # the triangularity check must not be an assert that python -O strips
+    code = textwrap.dedent("""
+        from fractions import Fraction
+        from hallq import symfun
+        assert False, "asserts are live: not running under -O"
+        bad = [list(row) for row in symfun.kostka_foulkes(3, Fraction(1, 2))]
+        bad[2][0] = Fraction(1)
+        symfun.kostka_foulkes = lambda n, t: bad
+        try:
+            symfun.hl_transition(3, Fraction(1, 2))
+        except ArithmeticError as exc:
+            print("raised:", exc)
+    """)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop(symfun.CACHE_ENV_VAR, None)
+    done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (
+        "raised: Kostka-Foulkes matrix at n=3, t=1/2 is not unit upper triangular: "
+        "entry ((1, 1, 1), (3,)) is 1\n"
+    ), done.stdout
