@@ -5,9 +5,12 @@ prime powers the int encodes a polynomial over F_p (base-p digits, low degree
 first) reduced modulo a fixed irreducible polynomial embedded below, so that
 matrix-level results are reproducible across machines.
 
-Matrices are immutable tuples of row tuples wrapped in ``MatGF``.  A
-bit-packed path (rows as Python ints) accelerates the q = 2 loops that the
-brute-force enumerations live on.
+Matrices are immutable tuples of row tuples wrapped in ``MatGF``.  Ranks,
+Jordan types, primary partitions and the sampler's explicit-matrix engine
+share one span kernel for every q: packed vectors (an int bitmask at q = 2,
+an entry tuple without trailing zeros otherwise), ``combine`` for x·v from
+the packed columns of x, the incremental echelon basis ``Span``, and
+``image_filtration`` for the images of the powers of x.
 """
 
 from __future__ import annotations
@@ -54,14 +57,21 @@ class FieldCtx:
             raise ValueError("q must be between 2 and 256")
         self.q = q
         self.p, self.e = _factor_prime_power(q)
+        elems = range(q)
         if self.e == 1:
-            self._mul_table = None
+            self._add_table = [[(a + b) % q for b in elems] for a in elems]
+            self._mul_table = [[(a * b) % q for b in elems] for a in elems]
         else:
             key = (self.p, self.e)
             if key not in _IRREDUCIBLE:
                 raise ValueError(f"no irreducible polynomial embedded for F_{q}")
             self.modulus = _IRREDUCIBLE[key]
+            digits = [self._digits(a) for a in elems]
+            self._add_table = [
+                [self._undigits([(x + y) % self.p for x, y in zip(da, db)]) for db in digits] for da in digits
+            ]
             self._mul_table = self._build_mul_table()
+        self._neg_table = [row.index(0) for row in self._add_table]
         self._inv_table = self._build_inv_table()
         self._spot_check()
 
@@ -134,22 +144,15 @@ class FieldCtx:
     # -- arithmetic --
 
     def add(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a + b) % self.p
-        da, db = self._digits(a), self._digits(b)
-        return self._undigits([(x + y) % self.p for x, y in zip(da, db)])
+        return self._add_table[a][b]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self._add_table[a][self._neg_table[b]]
 
     def neg(self, a: int) -> int:
-        if self.e == 1:
-            return (-a) % self.p
-        return self._undigits([(-x) % self.p for x in self._digits(a)])
+        return self._neg_table[a]
 
     def mul(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a * b) % self.p
         return self._mul_table[a][b]
 
     def inv(self, a: int) -> int:
@@ -245,14 +248,6 @@ def mat_add(a: MatGF, b: MatGF) -> MatGF:
     )
 
 
-def mat_sub(a: MatGF, b: MatGF) -> MatGF:
-    ctx = a.ctx
-    return MatGF(
-        tuple(tuple(ctx.sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a.rows, b.rows)),
-        a.q,
-    )
-
-
 def mat_vec(a: MatGF, v: tuple[int, ...]) -> tuple[int, ...]:
     ctx = a.ctx
     out = []
@@ -297,58 +292,157 @@ def mat_inv(m: MatGF) -> MatGF:
 
 
 def rank(m: MatGF) -> int:
-    """Rank over F_q by Gaussian elimination (bit-packed when q = 2)."""
+    """Rank over F_q: the dimension of the span of the rows."""
+    return Span(m.q, _pack_rows(m)).dim
+
+
+# ---------------------------------------------------------------------------
+# the span kernel: packed vectors, x·v, echelon bases, images of powers
+# ---------------------------------------------------------------------------
+#
+# A packed vector over F_2 is an int whose bit i is entry i; over any other
+# field it is the tuple of entries with trailing zeros dropped.  Either way
+# the zero vector is falsy and a nonzero vector's "length" (bit_length or
+# len) is one more than the index of its last nonzero entry.
+
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _trim(entries) -> tuple[int, ...]:
+    entries = list(entries)
+    while entries and not entries[-1]:
+        entries.pop()
+    return tuple(entries)
+
+
+def pack(entries, q: int):
+    """Packed form of the vector with the given entries (ints 0..q-1)."""
+    if q == 2:
+        return int(bytes(entries[::-1]).translate(_BIT_CHARS) or b"0", 2)
+    return _trim(entries)
+
+
+def _pack_rows(m: MatGF, shift: int = 0) -> list:
+    """Packed rows of the square matrix m - shift·I (any m when shift is 0)."""
     if m.q == 2:
-        packed = [_pack_row(row) for row in m.rows]
-        return _gf2_rank(packed)
-    return _rank_generic([list(r) for r in m.rows], m.ctx)
+        return [pack(r, 2) ^ (shift << i) for i, r in enumerate(m.rows)]
+    rows = m.rows
+    if shift:
+        sub = m.ctx.sub
+        rows = [r[:i] + (sub(r[i], shift),) + r[i + 1 :] for i, r in enumerate(rows)]
+    return [_trim(r) for r in rows]
 
 
-def _pack_row(row) -> int:
-    out = 0
-    for j, x in enumerate(row):
-        if x:
-            out |= 1 << j
-    return out
+def combine(cols, v, q: int):
+    """x·v = sum of v_j·cols[j] for the matrix x with packed columns cols;
+    at q = 2 the XOR of the columns that v selects."""
+    if q == 2:
+        out = 0
+        while v:
+            low = v & -v
+            out ^= cols[low.bit_length() - 1]
+            v ^= low
+        return out
+    ctx = field(q)
+    add, mul = ctx._add_table, ctx._mul_table
+    acc: list[int] = []
+    for c, col in zip(v, cols):
+        if c and col:
+            if len(col) > len(acc):
+                acc.extend([0] * (len(col) - len(acc)))
+            scaled = mul[c]
+            acc[: len(col)] = [add[x][scaled[y]] for x, y in zip(acc, col)]
+    return _trim(acc)
 
 
-def _gf2_rank(rows: list[int]) -> int:
-    basis: dict[int, int] = {}
-    for row in rows:
-        cur = row
-        while cur:
-            low = cur & -cur
-            if low in basis:
-                cur ^= basis[low]
-            else:
-                basis[low] = cur
-                break
-    return len(basis)
+class Span:
+    """Incremental echelon basis of a subspace of F_q^n, on packed vectors,
+    spanned at first by the given vectors.
+
+    Each basis vector is keyed by its length, and over q > 2 its last
+    nonzero entry is 1, so a reduction clears the last entry of the vector
+    at each step.
+    """
+
+    __slots__ = ("q", "ctx", "_basis")
+
+    def __init__(self, q: int, vectors=()):
+        self.q = q
+        self._basis: dict = {}
+        if q != 2:
+            self.ctx = field(q)
+            for v in vectors:
+                self.insert(v)
+            return
+        basis = self._basis  # insert, inlined: this loop carries the q = 2 brute force
+        for v in vectors:
+            while v:
+                b = basis.get(v.bit_length())
+                if b is None:
+                    basis[v.bit_length()] = v
+                    break
+                v ^= b
+
+    @property
+    def dim(self) -> int:
+        return len(self._basis)
+
+    def vectors(self) -> list:
+        return list(self._basis.values())
+
+    def _reduce(self, v):
+        """v minus a combination of the basis; zero exactly when v is in
+        the span."""
+        basis = self._basis
+        if self.q == 2:
+            while v:
+                b = basis.get(v.bit_length())
+                if b is None:
+                    return v
+                v ^= b
+            return v
+        ctx = self.ctx
+        add, mul, neg = ctx._add_table, ctx._mul_table, ctx._neg_table
+        while v:
+            b = basis.get(len(v))
+            if b is None:
+                return v
+            scaled = mul[neg[v[-1]]]
+            v = _trim([add[x][scaled[y]] for x, y in zip(v, b)])
+        return v
+
+    def contains(self, v) -> bool:
+        return not self._reduce(v)
+
+    def insert(self, v) -> None:
+        v = self._reduce(v)
+        if not v:
+            return
+        if self.q == 2:
+            self._basis[v.bit_length()] = v
+        else:
+            scaled = self.ctx._mul_table[self.ctx.inv(v[-1])]
+            self._basis[len(v)] = tuple(scaled[x] for x in v)
 
 
-def _rank_generic(rows: list[list[int]], ctx: FieldCtx) -> int:
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    r = 0
-    for col in range(n_cols):
-        piv = None
-        for i in range(r, n_rows):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = ctx.inv(rows[r][col])
-        rows[r] = [ctx.mul(inv, x) for x in rows[r]]
-        for i in range(n_rows):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == n_rows:
-            break
-    return r
+def image_filtration(cols, q: int) -> list[Span]:
+    """Bases of Im x, Im x^2, ... for the square matrix x with packed
+    columns cols, as long as the dimension falls.
+
+    Im x^(k+1) = x·(basis of Im x^k).  The list stops before the first
+    power whose image is as large as the one before; it ends with the zero
+    space exactly when x is nilpotent (or empty).
+    """
+    out: list[Span] = []
+    vectors, dim = cols, len(cols)
+    while True:
+        span = Span(q, vectors)
+        basis = span._basis
+        if len(basis) == dim:
+            return out
+        out.append(span)
+        dim = len(basis)
+        vectors = [combine(cols, b, q) for b in basis.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -509,57 +603,20 @@ class NotUnipotentError(ValueError):
 
 
 def jordan_type_unipotent(u: MatGF) -> Partition:
-    """Jordan type of a unipotent matrix (blocks for eigenvalue 1)."""
-    n = u.n_rows
-    if u.q == 2:
-        return _jordan_type_gf2(u, n)
-    xi = mat_sub(u, identity(n, u.q))
-    nullities = [0]
-    power = identity(n, u.q)
-    for _ in range(n):
-        power = mat_mul(power, xi)
-        nullities.append(n - rank(power))
-        if nullities[-1] == n:
-            break
-    if nullities[-1] != n:
+    """Jordan type of a unipotent matrix (blocks for eigenvalue 1).
+
+    Read off the ranks of the powers of u - I.  Its rows are packed as the
+    columns of the transpose, whose powers have the same ranks.
+    """
+    ranks = [u.n_rows] + [span.dim for span in image_filtration(_pack_rows(u, 1), u.q)]
+    if ranks[-1]:
         raise NotUnipotentError("matrix is not unipotent")
-    return _cols_to_type(nullities)
+    return _type_from_ranks(ranks)
 
 
-def _cols_to_type(nullities) -> Partition:
-    cols = tuple(
-        nullities[k] - nullities[k - 1]
-        for k in range(1, len(nullities))
-        if nullities[k] > nullities[k - 1]
-    )
-    return conjugate(cols)
-
-
-def _jordan_type_gf2(u: MatGF, n: int) -> Partition:
-    xi = [_pack_row(row) ^ (1 << i) for i, row in enumerate(u.rows)]
-    nullities = [0]
-    power = list(xi)
-    for _ in range(n):
-        nullities.append(n - _gf2_rank(list(power)))
-        if nullities[-1] == n:
-            break
-        # power <- power * xi (row i combines xi rows selected by its bits)
-        power = [_gf2_row_times(xi, row) for row in power]
-    if nullities[-1] != n:
-        raise NotUnipotentError("matrix is not unipotent")
-    return _cols_to_type(nullities)
-
-
-def _gf2_row_times(rows: list[int], row_vec: int) -> int:
-    out = 0
-    i = 0
-    v = row_vec
-    while v:
-        if v & 1:
-            out ^= rows[i]
-        v >>= 1
-        i += 1
-    return out
+def _type_from_ranks(ranks, d: int = 1) -> Partition:
+    """Partition whose k-th column is (rank x^(k-1) - rank x^k) / d."""
+    return conjugate(tuple((a - b) // d for a, b in zip(ranks, ranks[1:])))
 
 
 def conj_class_type(g: MatGF) -> dict[tuple[int, ...], Partition]:
@@ -601,18 +658,8 @@ def conj_class_type(g: MatGF) -> dict[tuple[int, ...], Partition]:
 
 
 def _primary_partition(g: MatGF, f, d: int) -> Partition:
-    n = g.n_rows
-    fg = poly_eval_matrix(f, g)
-    nullities = [0]
-    power = identity(n, g.q)
-    while True:
-        power = mat_mul(power, fg)
-        nullity = n - rank(power)
-        if nullity == nullities[-1]:
-            break
-        nullities.append(nullity)
-    cols = tuple((nullities[k] - nullities[k - 1]) // d for k in range(1, len(nullities)))
-    return conjugate(cols)
+    rows = _pack_rows(poly_eval_matrix(f, g))
+    return _type_from_ranks([g.n_rows] + [span.dim for span in image_filtration(rows, g.q)], d)
 
 
 def class_type_key(ct: dict[tuple[int, ...], Partition]) -> tuple:

@@ -80,6 +80,8 @@ class FiniteGroupTable:
 
 
 def cyclic_group(m: int) -> FiniteGroupTable:
+    if m < 1:
+        raise ValueError(f"cyclic group order must be at least 1, got {m}")
     return FiniteGroupTable(
         range(m),
         mul=lambda a, b: (a + b) % m,

@@ -180,6 +180,8 @@ class CoherenceReport:
 def check_coherence(meas: CentralMeasure, n_max: int, counts: str = "brute") -> CoherenceReport:
     """Exact check of M_rho = sum over covers sigma of c_{rho,sigma} M_sigma
     for every rho of size below n_max."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     q = int(meas.ground.q)
     violations = []
     checked = 0

@@ -8,9 +8,11 @@ Three engines:
   stream), which reproduces the column law t^(rho'_j) - t^(rho'_{j-1})
   exactly.
 * ``matrix`` — grows an explicit unitriangular matrix one uniform column at a
-  time and classifies each new column against the image filtration of the
-  strictly-triangular part, maintained incrementally and revalidated from
-  scratch every 64 steps.
+  time.  The strictly-triangular part is stored by packed columns, so the
+  new column is appended as it is, and each new column is classified
+  against the image filtration, kept incrementally in ``gflinalg``'s span
+  kernel (the same code for every q) and rebuilt from the columns alone
+  every 64 steps as a check.
 * ``markov`` — grows a type path under any central measure via the exact
   conditional law c_{rho,sigma}(q) M_sigma / M_rho.
 
@@ -127,246 +129,64 @@ def chain_haar_step(cols: list[int], z: int) -> int:
 
 @dataclass
 class MatrixGrowthState:
-    """Explicit matrix path (q = 2 bit-packed rows; generic rows otherwise)."""
+    """Explicit matrix path: the strictly upper part xi, stored by packed
+    columns (see ``gflinalg.pack``), and its image filtration."""
 
     q: int
-    n: int = 0
     cols: list[int] = field(default_factory=list)  # conjugate of the type
-    rows: list = field(default_factory=list)  # strictly upper part xi
-    images: list = field(default_factory=list)  # images[k-1] = basis of Im xi^k
+    xi: list = field(default_factory=list)  # xi[j] = column j of xi
+    images: list = field(default_factory=list)  # images[k-1] = Span of Im xi^k
     steps_since_refresh: int = 0
+
+    @property
+    def n(self) -> int:
+        return len(self.xi)
 
     @property
     def rho(self) -> Partition:
         return conjugate(tuple(self.cols))
 
 
-def _gf2_matvec(rows: list[int], v: int, n: int) -> int:
-    out = 0
-    for i in range(n):
-        if (rows[i] & v).bit_count() & 1:
-            out |= 1 << i
-    return out
-
-
-class _Gf2Basis:
-    def __init__(self):
-        self.pivots: dict[int, int] = {}
-
-    def reduce(self, v: int) -> int:
-        while v:
-            low = v & -v
-            if low not in self.pivots:
-                return v
-            v ^= self.pivots[low]
-        return 0
-
-    def contains(self, v: int) -> bool:
-        return self.reduce(v) == 0
-
-    def insert(self, v: int) -> None:
-        r = self.reduce(v)
-        if r:
-            self.pivots[r & -r] = r
-
-    def vectors(self):
-        return list(self.pivots.values())
-
-    @property
-    def dim(self):
-        return len(self.pivots)
-
-
-class _GenericBasis:
-    def __init__(self, ctx):
-        self.ctx = ctx
-        self.rows: list[list[int]] = []
-        self.pivots: list[int] = []
-
-    def reduce(self, v):
-        v = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            if p < len(v) and v[p]:
-                f = v[p]
-                padded = row + [0] * (len(v) - len(row))
-                v = [self.ctx.sub(x, self.ctx.mul(f, y)) for x, y in zip(v, padded)]
-        return v
-
-    def contains(self, v) -> bool:
-        return not any(self.reduce(v))
-
-    def insert(self, v) -> None:
-        r = self.reduce(v)
-        for p, x in enumerate(r):
-            if x:
-                inv = self.ctx.inv(x)
-                self.rows.append([self.ctx.mul(inv, y) for y in r])
-                self.pivots.append(p)
-                return
-
-    def vectors(self):
-        return [list(r) for r in self.rows]
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-
 def matrix_haar_step(state: MatrixGrowthState, rng: CounterRng, trial: int, step: int) -> int:
     """One uniform-column growth step; returns the box column.
 
     The new column b is classified by j = min k with xi^(k-1) b in Im(xi^k);
-    afterwards every image basis absorbs its power vector and the matrix is
-    extended.  Every 64 steps the filtration is rebuilt from scratch and
+    afterwards each Im xi^k absorbs xi^(k-1) b and b is appended to xi as its
+    new column.  Every 64 steps the filtration is rebuilt from xi alone and
     compared, as an exact revalidation of the incremental updates.
     """
-    q, n = state.q, state.n
-    if q == 2:
-        bits = rng.uniform_vector(trial, step, n, 2)
-        b = 0
-        for i, x in enumerate(bits):
-            if x:
-                b |= 1 << i
-        j = _classify_gf2(state, b)
-        _extend_gf2(state, b)
-    else:
-        b = rng.uniform_vector(trial, step, n, q)
-        j = _classify_generic(state, b)
-        _extend_generic(state, b)
+    q, xi, images = state.q, state.xi, state.images
+    b = gflinalg.pack(rng.uniform_vector(trial, step, len(xi), q), q)
+    powers = []  # b, xi b, xi^2 b, ... while nonzero
+    v = b
+    while v:
+        powers.append(v)
+        v = gflinalg.combine(xi, v, q)
+    j = next(
+        (k for k, v in enumerate(powers, 1) if k <= len(images) and images[k - 1].contains(v)),
+        len(powers) + 1,
+    )
+    for k, v in enumerate(powers):
+        if k == len(images):
+            images.append(gflinalg.Span(q))
+        images[k].insert(v)
+    xi.append(b)
     if j <= len(state.cols):
         state.cols[j - 1] += 1
     else:
         state.cols.append(1)
-    state.n += 1
     state.steps_since_refresh += 1
     if state.steps_since_refresh >= 64:
-        _refresh(state)
+        fresh = [span for span in gflinalg.image_filtration(xi, q) if span.dim]
+        _check_same_filtration(images, fresh)
         state.steps_since_refresh = 0
     return j
 
 
-def _classify_gf2(state: MatrixGrowthState, b: int) -> int:
-    v = b
-    k = 1
-    while True:
-        basis = state.images[k - 1] if k - 1 < len(state.images) else None
-        inside = (v == 0) if basis is None else basis.contains(v)
-        if inside:
-            j = k
-            break
-        v = _gf2_matvec(state.rows, v, state.n)
-        k += 1
-    # absorb the power vectors into the filtration
-    v = b
-    k = 1
-    while v:
-        while len(state.images) < k:
-            state.images.append(_Gf2Basis())
-        state.images[k - 1].insert(v)
-        v = _gf2_matvec(state.rows, v, state.n)
-        k += 1
-    return j
-
-
-def _extend_gf2(state: MatrixGrowthState, b: int) -> None:
-    n = state.n
-    for i in range(n):
-        if (b >> i) & 1:
-            state.rows[i] |= 1 << n
-    state.rows.append(0)
-
-
-def _classify_generic(state: MatrixGrowthState, b) -> int:
-    ctx = gflinalg.field(state.q)
-    v = list(b)
-    k = 1
-    while True:
-        basis = state.images[k - 1] if k - 1 < len(state.images) else None
-        inside = not any(v) if basis is None else basis.contains(v)
-        if inside:
-            j = k
-            break
-        v = [_dot(ctx, row, v) for row in state.rows]
-        k += 1
-    v = list(b)
-    k = 1
-    while any(v):
-        while len(state.images) < k:
-            state.images.append(_GenericBasis(ctx))
-        state.images[k - 1].insert(v)
-        v = [_dot(ctx, row, v) for row in state.rows]
-        k += 1
-    return j
-
-
-def _dot(ctx, row, v):
-    acc = 0
-    for x, y in zip(row, v):
-        if x and y:
-            acc = ctx.add(acc, ctx.mul(x, y))
-    return acc
-
-
-def _extend_generic(state: MatrixGrowthState, b) -> None:
-    for i in range(state.n):
-        state.rows[i] = state.rows[i] + [b[i]]
-    state.rows = [row for row in state.rows]
-    state.rows.append([0] * (state.n + 1))
-
-
-def _refresh(state: MatrixGrowthState) -> None:
-    """Rebuild the image filtration from matrix powers and check equality."""
-    n = state.n
-    if state.q == 2:
-        power = list(state.rows)
-        fresh = []
-        while True:
-            basis = _Gf2Basis()
-            for col in range(n):
-                vec = 0
-                for i in range(n):
-                    if (power[i] >> col) & 1:
-                        vec |= 1 << i
-                basis.insert(vec)
-            if basis.dim == 0:
-                break
-            fresh.append(basis)
-            power = [_gf2_matvec_rows(state.rows, row, n) for row in power]
-        _check_same_filtration(state.images, fresh)
-    else:
-        ctx = gflinalg.field(state.q)
-        power = [list(r) for r in state.rows]
-        fresh = []
-        while True:
-            basis = _GenericBasis(ctx)
-            for col in range(n):
-                basis.insert([power[i][col] for i in range(n)])
-            if basis.dim == 0:
-                break
-            fresh.append(basis)
-            power = [[_dot(ctx, state.rows[i], [p[j] for p in power]) for j in range(n)] for i in range(n)]
-        _check_same_filtration(state.images, fresh)
-    state.images = [b for b in state.images if b.dim]
-
-
-def _gf2_matvec_rows(rows: list[int], row_vec: int, n: int) -> int:
-    # row_vec * rows (row-vector times matrix): combine rows by set bits
-    out = 0
-    i = 0
-    v = row_vec
-    while v:
-        if v & 1:
-            out ^= rows[i]
-        v >>= 1
-        i += 1
-    return out
-
-
 def _check_same_filtration(incremental, fresh) -> None:
-    live = [b for b in incremental if b.dim]
-    if len(live) != len(fresh):
-        raise ArithmeticError(f"filtration depth drifted: {len(live)} incremental, {len(fresh)} rebuilt")
-    for k, (inc, ref) in enumerate(zip(live, fresh), start=1):
+    if len(incremental) != len(fresh):
+        raise ArithmeticError(f"filtration depth drifted: {len(incremental)} incremental, {len(fresh)} rebuilt")
+    for k, (inc, ref) in enumerate(zip(incremental, fresh), start=1):
         if inc.dim != ref.dim:
             raise ArithmeticError(f"rank of Im xi^{k} drifted: {inc.dim} incremental, {ref.dim} rebuilt")
         for v in ref.vectors():
@@ -437,10 +257,17 @@ def beta_targets(spec: ThomaSpec, k_max: int) -> list[Fraction]:
     return [e.value for e in spec.betas[:k_max]]
 
 
+# the engines each mode accepts; measure mode runs the markov engine under
+# either name ("chain" is the CLI default)
+ENGINES = {"haar": ("chain", "matrix"), "measure": ("markov", "chain")}
+
+MATRIX_N_LIMIT = 600  # memory/time guard for the explicit-matrix engine
+
+
 @dataclass
 class SamplerConfig:
     mode: str = "haar"  # "haar" or "measure"
-    engine: str = "chain"  # haar: "chain" or "matrix"; measure: "markov"
+    engine: str = "chain"  # one of ENGINES[mode]
     q: int = 2
     n_max: int = 400
     trials: int = 200
@@ -452,9 +279,17 @@ class SamplerConfig:
     fast_counts: bool = False  # allow closed-form counts beyond validated range
     store_trajectories: bool = False
     threads: int = 1
-    matrix_n_limit: int = 600  # memory/time guard for the explicit-matrix engine
 
     def __post_init__(self):
+        gflinalg.field(self.q)  # raises ValueError unless F_q is supported
+        if self.mode not in ENGINES:
+            raise ValueError(f"unknown mode {self.mode!r}; expected one of {tuple(ENGINES)}")
+        if self.engine not in ENGINES[self.mode]:
+            raise ValueError(f"{self.mode} mode runs the engines {ENGINES[self.mode]}, not {self.engine!r}")
+        if self.n_max < 1:
+            raise ValueError(f"n_max must be at least 1, got {self.n_max}")
+        if self.mode == "haar" and self.engine == "matrix" and self.n_max > MATRIX_N_LIMIT:
+            raise ValueError(f"matrix engine limited to n <= {MATRIX_N_LIMIT}; use the chain engine")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must satisfy 0 <= seed < 2^64, got {self.seed}")
         if self.trials < 1:
@@ -585,7 +420,14 @@ def _run_single_trial(config: SamplerConfig, rng: CounterRng, trial: int,
                       meas: Optional[CentralMeasure], counts: str) -> TrialRecord:
     every = config.resolved_snapshot()
     snapshots: list[tuple[int, tuple[int, ...]]] = []
-    if config.mode == "haar" and config.engine == "chain":
+    if config.mode == "measure":
+        rho: Partition = ()
+        for step in range(1, config.n_max + 1):
+            rho = markov_step(rho, meas, rng, trial, step, counts=counts)
+            if step % every == 0 or step == config.n_max:
+                snapshots.append((step, conjugate(rho)))
+        final_cols = conjugate(rho)
+    elif config.engine == "chain":
         cols: list[int] = []
         for step in range(1, config.n_max + 1):
             cap = (cols[0] if cols else 0) + 1
@@ -594,22 +436,13 @@ def _run_single_trial(config: SamplerConfig, rng: CounterRng, trial: int,
             if step % every == 0 or step == config.n_max:
                 snapshots.append((step, tuple(cols)))
         final_cols = tuple(cols)
-    elif config.mode == "haar" and config.engine == "matrix":
+    else:
         state = MatrixGrowthState(q=config.q)
         for step in range(1, config.n_max + 1):
             matrix_haar_step(state, rng, trial, step)
             if step % every == 0 or step == config.n_max:
                 snapshots.append((step, tuple(state.cols)))
         final_cols = tuple(state.cols)
-    elif config.mode == "measure":
-        rho: Partition = ()
-        for step in range(1, config.n_max + 1):
-            rho = markov_step(rho, meas, rng, trial, step, counts=counts)
-            if step % every == 0 or step == config.n_max:
-                snapshots.append((step, conjugate(rho)))
-        final_cols = conjugate(rho)
-    else:
-        raise ValueError(f"unknown mode/engine {config.mode}/{config.engine}")
     return TrialRecord(
         trial=trial,
         final_rows=conjugate(final_cols),
@@ -623,11 +456,6 @@ def run_trials(config: SamplerConfig, trial_indices: list[int]) -> list[TrialRec
     rng = CounterRng(config.seed)
     meas = None
     counts = "brute"
-    if config.mode == "haar" and config.engine == "matrix" and config.n_max > config.matrix_n_limit:
-        raise ValueError(
-            f"matrix engine limited to n <= {config.matrix_n_limit}; "
-            f"use the chain engine or raise matrix_n_limit"
-        )
     if config.mode == "measure":
         if config.spec is None:
             raise ValueError("measure mode needs a spec")

@@ -166,6 +166,46 @@ class TestLln:
         assert captured.err == message + "\n"
 
 
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (["--q", "6"], "error: 6 is not a prime power"),
+            (["--q", "1"], "error: q must be between 2 and 256"),
+            (["--n", "0"], "error: n_max must be at least 1, got 0"),
+            (["--engine", "markov"], "error: haar mode runs the engines ('chain', 'matrix'), not 'markov'"),
+            (["--engine", "matrix", "--n", "601"], "error: matrix engine limited to n <= 600; use the chain engine"),
+        ],
+    )
+    def test_bad_haar_config_is_usage_error(self, capsys, extra, message):
+        argv = ["lln", "--mode", "haar", "--q", "2", "--n", "10", "--trials", "2", "--seed", "3"]
+        code = main(argv + extra)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == message + "\n"
+
+    def test_measure_mode_rejects_the_matrix_engine(self, capsys):
+        code = main(["lln", "--mode", "measure", "--spec", str(SPECS / "two_thirds.spec"),
+                     "--engine", "matrix", "--n", "6", "--trials", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: measure mode runs the engines ('markov', 'chain'), not 'matrix'\n"
+
+    def test_measure_mode_accepts_markov_and_chain(self, capsys):
+        docs = []
+        for engine in ("markov", "chain"):
+            code, doc = run_cli(
+                ["lln", "--mode", "measure", "--spec", str(SPECS / "two_thirds.spec"),
+                 "--engine", engine, "--n", "6", "--trials", "2", "--seed", "1"],
+                capsys,
+            )
+            assert code == 0
+            docs.append(doc["result"])
+        assert docs[0]["engine"] == "markov" and docs[1]["engine"] == "chain"
+        assert docs[0]["row_freq_means"] == docs[1]["row_freq_means"]
+
+
 class TestOtherCommands:
     def test_flag_count(self, capsys):
         code, doc = run_cli(
@@ -186,6 +226,21 @@ class TestOtherCommands:
         assert code == 0
         assert doc["result"]["verdicts"]["embed_multiplicative"] is True
         assert doc["result"]["verdicts"]["flag_induction"] is True
+
+    def test_wreath_with_empty_coefficient_group_is_usage_error(self, capsys):
+        code = main(["ipfamily-check", "--example", "wreath", "--m", "1", "--coeff", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: cyclic group order must be at least 1, got 0\n"
+
+    @pytest.mark.parametrize("nmax", ["0", "-1"])
+    def test_coherence_check_nmax_below_one_is_usage_error(self, capsys, nmax):
+        code = main(["coherence-check", "--spec", str(SPECS / "haar.spec"), "--q", "2", "--nmax", nmax])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: n_max must be at least 1, got {nmax}\n"
 
     def test_kostka_foulkes(self, capsys):
         code, doc = run_cli(["kostka-foulkes", "--n", "3", "--t", "1/2"], capsys)

@@ -27,6 +27,7 @@ from hallq.gflinalg import (
     mat_from_text,
     mat_inv,
     mat_mul,
+    mat_vec,
     poly_eval_matrix,
     poly_from_text,
     poly_mul,
@@ -36,7 +37,7 @@ from hallq.gflinalg import (
     submodule_type_count,
     validate_closed_extension_counts,
 )
-from hallq.partitions import covers_up, enumerate_partitions, gaussian_binomial
+from hallq.partitions import conjugate, covers_up, enumerate_partitions, gaussian_binomial
 
 
 class TestField:
@@ -92,6 +93,99 @@ class TestRank:
             assert 0 <= r <= n
             if r == n:
                 assert mat_mul(m, mat_inv(m)) == identity(n, q)
+
+
+def _log_q(size: int, q: int) -> int:
+    k = 0
+    while q**k < size:
+        k += 1
+    assert q**k == size, (size, q)
+    return k
+
+
+class TestRankReferee:
+    """rank(m) against log_q of the size of the row space, which is
+    enumerated over all q^n combinations of the rows with the field
+    arithmetic alone (no elimination, no call into the span kernel)."""
+
+    @staticmethod
+    def row_space_size(rows, q):
+        ctx = field(q)
+        space = set()
+        for coeffs in product(range(q), repeat=len(rows)):
+            v = [0] * len(rows[0])
+            for c, row in zip(coeffs, rows):
+                if c:
+                    v = [ctx.add(x, ctx.mul(c, y)) for x, y in zip(v, row)]
+            space.add(tuple(v))
+        return len(space)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_every_3x3(self, q):
+        seen = set()
+        for entries in product(range(q), repeat=9):
+            rows = [entries[0:3], entries[3:6], entries[6:9]]
+            r = rank(mat_from_rows(rows, q))
+            assert r == _log_q(self.row_space_size(rows, q), q), rows
+            seen.add(r)
+        assert seen == {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("q", [4, 5])
+    def test_sampled_4x4(self, q):
+        ctx = field(q)
+        rng = random.Random(40 + q)
+        seen = set()
+        for _ in range(120):
+            # `free` random rows, the rest random combinations of them, so
+            # every rank up to 4 occurs
+            free = rng.randint(0, 4)
+            rows = [[rng.randrange(q) for _ in range(4)] for _ in range(free)]
+            while len(rows) < 4:
+                row = [0] * 4
+                for base in rows[:free]:
+                    c = rng.randrange(q)
+                    row = [ctx.add(x, ctx.mul(c, y)) for x, y in zip(row, base)]
+                rows.append(row)
+            rng.shuffle(rows)
+            r = rank(mat_from_rows(rows, q))
+            assert r == _log_q(self.row_space_size(rows, q), q), rows
+            seen.add(r)
+        assert seen == {0, 1, 2, 3, 4}
+
+
+class TestJordanReferee:
+    """jordan_type_unipotent(u) against the type read off the nullities of
+    the powers of u - I, each found by counting the vectors v with
+    (u - I)^k v = 0 over all q^n vectors with ``mat_vec``."""
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_every_4x4_unitriangular(self, q):
+        n = 4
+        ctx = field(q)
+        positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        vectors = list(product(range(q), repeat=n))
+        types = set()
+        for vals in product(range(q), repeat=len(positions)):
+            u = [[int(i == j) for j in range(n)] for i in range(n)]
+            for (i, j), x in zip(positions, vals):
+                u[i][j] = x
+            xi = mat_from_rows([[ctx.sub(u[i][j], int(i == j)) for j in range(n)] for i in range(n)], q)
+            kernel_sizes = [0] * (n + 1)  # kernel_sizes[k] = #{v : xi^k v = 0}
+            for v in vectors:
+                w = v
+                for k in range(n + 1):
+                    if not any(w):
+                        for kk in range(k, n + 1):
+                            kernel_sizes[kk] += 1
+                        break
+                    w = mat_vec(xi, w)
+            nullities = [_log_q(size, q) for size in kernel_sizes]
+            assert nullities[n] == n
+            cols = tuple(b - a for a, b in zip(nullities, nullities[1:]) if b > a)
+            want = conjugate(cols)
+            assert jordan_type_unipotent(mat_from_rows(u, q)) == want, u
+            types.add(want)
+        assert types == set(enumerate_partitions(n))
 
 
 class TestCharPoly:

@@ -100,17 +100,21 @@ class TestChainStep:
 
 
 class TestMatrixEngine:
-    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("q", [2, 3, 4])
     def test_type_matches_matrix_level(self, q):
         state = MatrixGrowthState(q=q)
         rng = CounterRng(7)
         for step in range(1, 71):  # crosses the 64-step refresh
             matrix_haar_step(state, rng, 0, step)
-        if q == 2:
-            rows = [[(state.rows[i] >> j) & 1 for j in range(state.n)] for i in range(state.n)]
-        else:
-            rows = [list(r) for r in state.rows]
+
+        def entry(col, i):  # entry i of a packed column
+            if q == 2:
+                return (col >> i) & 1
+            return col[i] if i < len(col) else 0
+
+        rows = [[entry(col, i) for col in state.xi] for i in range(state.n)]
         for i in range(state.n):
+            assert rows[i][: i + 1] == [0] * (i + 1)
             rows[i][i] = 1
         u = gflinalg.mat_from_rows(rows, q)
         assert gflinalg.jordan_type_unipotent(u) == state.rho
@@ -280,6 +284,22 @@ class TestRuns:
             with pytest.raises(ValueError):
                 SamplerConfig(**bad)
         assert SamplerConfig(seed=2**64 - 1).seed == 2**64 - 1
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"q": 6},
+            {"q": 1},
+            {"n_max": 0},
+            {"mode": "haar", "engine": "markov"},
+            {"mode": "measure", "engine": "matrix"},
+            {"mode": "bogus"},
+            {"mode": "haar", "engine": "matrix", "n_max": sampler.MATRIX_N_LIMIT + 1},
+        ],
+    )
+    def test_config_rejects_bad_field_size_and_engine(self, bad):
+        with pytest.raises(ValueError):
+            SamplerConfig(**bad)
 
     def test_gate_small(self):
         cfg = SamplerConfig(mode="haar", engine="chain", q=2, n_max=200, trials=60, seed=42)
