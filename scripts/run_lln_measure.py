@@ -31,7 +31,7 @@ def main() -> int:
     spec, _ = load_spec(args.spec)
     config = SamplerConfig(
         mode="measure", q=args.q, n_max=args.n, trials=args.trials,
-        seed=args.seed, spec=spec, fast_counts=True,
+        seed=args.seed, spec=spec,
     )
     report = run_lln(config)
     t = Fraction(1, args.q)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .partitions import Partition, conjugate, covers_up, validate_partition
+from .partitions import Partition, added_column, conjugate, covers_up, validate_partition
 
 # fixed irreducible polynomials, coefficients low degree first (Conway choices)
 _IRREDUCIBLE = {
@@ -720,11 +720,25 @@ def extension_counts(rho: Partition, q: int) -> dict[Partition, int]:
 
 
 def extension_counts_closed(rho: Partition, q: int) -> dict[Partition, int]:
-    """Closed-form extension counts.
+    """Closed-form extension counts, the count source of measure-mode growth.
 
     For the one-box extension into column j the count is
     q^(n - rho'_j) - q^(n - rho'_{j-1});  column 1 reads rho'_0 as infinity.
-    Gated by ``validate_closed_extension_counts`` against the brute force.
+
+    Proof, at every prime power q (Macdonald, *Symmetric Functions and Hall
+    Polynomials*, Ch. II).  Let xi be nilpotent of type rho on F_q^n and
+    extend it by the column b to xi' = [[xi, b], [0, 0]].  Then
+    xi'^k = [[xi^k, xi^(k-1) b], [0, 0]], so
+    rank xi'^k = rank xi^k + [xi^(k-1) b not in Im xi^k].  Now
+    xi^(k-1) b = xi^k a exactly when b - xi a lies in ker xi^(k-1), so the
+    condition xi^(k-1) b in Im xi^k is b in W_k = Im xi + ker xi^(k-1).
+    As Im xi meets ker xi^(k-1) in xi(ker xi^k),
+    dim W_k = n - rank xi^(k-1) + rank xi^k = n - rho'_k, and the W_k
+    increase with k.  With j the least k such that b is in W_k, the column
+    lengths rho'_k + [k-1 < j] - [k < j] of the extension differ from rho'
+    in column j alone.  So the box lands in column j exactly when b is in
+    W_j but not W_(j-1), with W_0 empty, for q^(n - rho'_j) -
+    q^(n - rho'_(j-1)) columns b.
     """
     rho = validate_partition(rho)
     n = sum(rho)
@@ -735,7 +749,7 @@ def extension_counts_closed(rho: Partition, q: int) -> dict[Partition, int]:
 
     out: dict[Partition, int] = {}
     for sigma in covers_up(rho):
-        j = _box_column(rho, sigma)
+        j = added_column(rho, sigma)
         hi = q ** (n - col_len(j))
         lo = 0 if j == 1 else q ** (n - col_len(j - 1))
         c = hi - lo
@@ -757,13 +771,6 @@ def extension_counts_from(source: str, rho: Partition, q: int) -> dict[Partition
     raise ValueError(f"unknown counts source {source!r}; expected one of {COUNT_SOURCES}")
 
 
-def _box_column(rho: Partition, sigma: Partition) -> int:
-    for i in range(len(sigma)):
-        if i >= len(rho) or sigma[i] != rho[i]:
-            return sigma[i]
-    raise ValueError("not a cover")
-
-
 def validate_closed_extension_counts(max_n: int, q: int) -> dict:
     """Exhaustive agreement check of the closed form against brute force."""
     from .partitions import enumerate_partitions
@@ -779,8 +786,9 @@ def validate_closed_extension_counts(max_n: int, q: int) -> dict:
     return {"ok": True, "q": q, "max_n": max_n, "partitions_checked": checked}
 
 
-# Ranges over which the closed form has been validated exhaustively against
-# the matrix-level brute force (see tests and scripts/validate_fast_counts.py).
+# The reach of the brute-force census: the sizes up to which the closed form
+# has been checked against every column (tests, scripts/validate_fast_counts.py
+# and perfbench/checks.py read it; the sampler does not).
 VALIDATED_FAST_COUNTS = {2: 10, 3: 8}
 
 

@@ -33,7 +33,6 @@ from math import lcm, sqrt
 from typing import Optional
 
 from . import gflinalg, measures
-from .gflinalg import VALIDATED_FAST_COUNTS
 from .measures import CentralMeasure, DeadBranchError
 from .partitions import Partition, conjugate, covers_up, validate_partition
 from .symfun import SpecEntry, ThomaSpec
@@ -198,15 +197,15 @@ class ConditionalLawError(ArithmeticError):
     """The exact conditional law of a growth step is not a probability law."""
 
 
-def markov_step(rho: Partition, meas: CentralMeasure, rng: CounterRng, trial: int, step: int,
-                counts: str = "brute") -> Partition:
-    """One exact conditional growth step under a central measure."""
+def markov_step(rho: Partition, meas: CentralMeasure, rng: CounterRng, trial: int, step: int) -> Partition:
+    """One exact conditional growth step under a central measure, with the
+    closed-form extension counts."""
     rho = validate_partition(rho)
     m_rho = measures.cylinder_prob(meas, rho)
     if m_rho == 0:
         raise DeadBranchError(f"zero-probability cylinder at {rho}")
     q = int(meas.ground.q)
-    cts = gflinalg.extension_counts_from(counts, rho, q)
+    cts = gflinalg.extension_counts_closed(rho, q)
     sigmas = []
     probs = []
     for sigma in covers_up(rho):
@@ -262,6 +261,7 @@ def beta_targets(spec: ThomaSpec, k_max: int) -> list[Fraction]:
 ENGINES = {"haar": ("chain", "matrix"), "measure": ("markov", "chain")}
 
 MATRIX_N_LIMIT = 600  # memory/time guard for the explicit-matrix engine
+GATE_ROWS = 4  # row frequencies the haar gate reads (FrequencyReport.gate's default k_se)
 
 
 @dataclass
@@ -276,7 +276,7 @@ class SamplerConfig:
     snapshot_every: int = 0  # 0: auto
     spec: Optional[ThomaSpec] = None
     convention: str = measures.DEFAULT_CONVENTION
-    fast_counts: bool = False  # allow closed-form counts beyond validated range
+    fast_counts: bool = False  # read by nothing; kept while perfbench/workloads.py still passes it
     store_trajectories: bool = False
     threads: int = 1
 
@@ -294,6 +294,11 @@ class SamplerConfig:
             raise ValueError(f"seed must satisfy 0 <= seed < 2^64, got {self.seed}")
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
+        if self.k_max < 1:
+            raise ValueError(f"k_max must be at least 1, got {self.k_max}")
+        if self.mode == "haar" and self.k_max < GATE_ROWS:
+            raise ValueError(f"the haar gate reads {GATE_ROWS} row frequencies, so k_max must be at least "
+                             f"{GATE_ROWS}, got {self.k_max}")
 
     def resolved_snapshot(self) -> int:
         return self.snapshot_every or max(1, self.n_max // 50)
@@ -332,25 +337,27 @@ class FrequencyReport:
             ses.append(sqrt(var / trials))
         return means, ses
 
-    def targets(self) -> dict:
+    def _target_spec(self) -> ThomaSpec:
+        """The point whose limit frequencies are the targets: the Haar atom
+        in haar mode, else the config's spec."""
         if self.config.mode == "haar":
-            spec = ThomaSpec(alphas=(SpecEntry(Fraction(1)),))
-        else:
-            spec = self.config.spec
+            return ThomaSpec(alphas=(SpecEntry(Fraction(1)),))
+        return self.config.spec
+
+    def targets(self) -> dict:
+        spec = self._target_spec()
         t = Fraction(1, self.config.q)
         return {
             "rows": [str(x) for x in expected_frequency_multiset(spec, t, self.config.k_max)],
             "cols": [str(x) for x in beta_targets(spec, self.config.k_max)],
         }
 
-    def gate(self, k_se: int = 4, k_abs: int = 2, abs_tol: float = 0.02) -> dict:
+    def gate(self, k_se: int = GATE_ROWS, k_abs: int = 2, abs_tol: float = 0.02) -> dict:
         """Statistical verdicts: mean row frequencies within 3 standard
         errors of the targets for k <= k_se, and within abs_tol for
         k <= k_abs."""
         means, ses = self.means_and_se("rows")
-        t = Fraction(1, self.config.q)
-        spec = ThomaSpec(alphas=(SpecEntry(Fraction(1)),)) if self.config.mode == "haar" else self.config.spec
-        targets = expected_frequency_multiset(spec, t, self.config.k_max)
+        targets = expected_frequency_multiset(self._target_spec(), Fraction(1, self.config.q), self.config.k_max)
         rows = []
         ok = True
         for k in range(max(k_se, k_abs)):
@@ -417,13 +424,13 @@ class FrequencyReport:
 
 
 def _run_single_trial(config: SamplerConfig, rng: CounterRng, trial: int,
-                      meas: Optional[CentralMeasure], counts: str) -> TrialRecord:
+                      meas: Optional[CentralMeasure]) -> TrialRecord:
     every = config.resolved_snapshot()
     snapshots: list[tuple[int, tuple[int, ...]]] = []
     if config.mode == "measure":
         rho: Partition = ()
         for step in range(1, config.n_max + 1):
-            rho = markov_step(rho, meas, rng, trial, step, counts=counts)
+            rho = markov_step(rho, meas, rng, trial, step)
             if step % every == 0 or step == config.n_max:
                 snapshots.append((step, conjugate(rho)))
         final_cols = conjugate(rho)
@@ -455,7 +462,6 @@ def run_trials(config: SamplerConfig, trial_indices: list[int]) -> list[TrialRec
     """Run the given trials; results depend only on (seed, trial, step)."""
     rng = CounterRng(config.seed)
     meas = None
-    counts = "brute"
     if config.mode == "measure":
         if config.spec is None:
             raise ValueError("measure mode needs a spec")
@@ -464,18 +470,7 @@ def run_trials(config: SamplerConfig, trial_indices: list[int]) -> list[TrialRec
         meas = measures.characteristic_measure(
             config.spec, GroundParams(config.q), config.convention
         )
-        validated = VALIDATED_FAST_COUNTS.get(config.q, 0)
-        if config.n_max > validated:
-            if not config.fast_counts:
-                raise ValueError(
-                    f"n_max {config.n_max} exceeds the exhaustively validated "
-                    f"extension-count range ({validated} at q={config.q}); "
-                    f"pass fast_counts=True to use the closed form"
-                )
-            counts = "closed"
-        else:
-            counts = "brute" if config.n_max <= 8 else "closed"
-    return [_run_single_trial(config, rng, t, meas, counts) for t in trial_indices]
+    return [_run_single_trial(config, rng, t, meas) for t in trial_indices]
 
 
 def merge_records(parts: list[list[TrialRecord]]) -> list[TrialRecord]:
@@ -501,12 +496,5 @@ def run_lln(config: SamplerConfig) -> FrequencyReport:
         records = merge_records(parts)
     else:
         records = run_trials(config, indices)
-    counts_source = "exact"
-    if config.mode == "measure":
-        validated = VALIDATED_FAST_COUNTS.get(config.q, 0)
-        counts_source = (
-            "fast-path counts (closed form beyond validated range)"
-            if config.n_max > validated and config.fast_counts
-            else "brute-force-validated counts"
-        )
+    counts_source = "closed-form counts" if config.mode == "measure" else "exact"
     return FrequencyReport(config=config, counts_source=counts_source, records=records)

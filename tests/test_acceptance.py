@@ -186,8 +186,7 @@ def test_criterion_08_borodin_lln_gate():
     )
     # non-gating general trend at n <= 30
     spec, _ = load_spec(SPEC_DIR / "two_thirds.spec")
-    trend_cfg = sampler.SamplerConfig(mode="measure", q=2, n_max=30, trials=24,
-                                      seed=7, spec=spec, fast_counts=True)
+    trend_cfg = sampler.SamplerConfig(mode="measure", q=2, n_max=30, trials=24, seed=7, spec=spec)
     trend = sampler.run_lln(trend_cfg)
     means, _ = trend.means_and_se("rows")
     targets = sampler.expected_frequency_multiset(spec, F(1, 2), trend_cfg.k_max)

@@ -1,9 +1,12 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from hallq import measures
 from hallq.cli import main, parse_class_type
+from hallq.partitions import conjugate, covers_up
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -42,6 +45,17 @@ class TestCylinder:
         assert man["command"] == "cylinder"
         assert man["version"]
         assert "rho" in man["params"]
+
+    def test_fast_route_is_refereed_by_the_q_route(self, capsys, monkeypatch):
+        # haar.spec takes the fast r-route, so the other route is the Q-route
+        monkeypatch.setattr(measures, "cylinder_via_q", lambda meas, rho: Fraction(0))
+        code, doc = run_cli(
+            ["cylinder", "--spec", str(SPECS / "haar.spec"), "--q", "2", "--rho", "2,1"],
+            capsys,
+        )
+        assert code == 1
+        assert doc["result"]["value_den"] == "8"
+        assert doc["result"]["checks"]["two_route_equal"] is False
 
     def test_deterministic_payload(self, capsys):
         argv = ["cylinder", "--spec", str(SPECS / "fifths.spec"), "--q", "2", "--rho", "2,2"]
@@ -137,7 +151,29 @@ class TestLln:
             capsys,
         )
         assert code == 0
-        assert doc["result"]["counts_source"] == "brute-force-validated counts"
+        assert doc["result"]["counts_source"] == "closed-form counts"
+
+    def test_measure_mode_at_q4(self, capsys, tmp_path):
+        csv = tmp_path / "traj.csv"
+        code, doc = run_cli(
+            ["lln", "--mode", "measure", "--spec", str(SPECS / "two_thirds.spec"),
+             "--q", "4", "--n", "6", "--trials", "2", "--csv", str(csv)],
+            capsys,
+        )
+        assert code == 0
+        assert doc["result"]["counts_source"] == "closed-form counts"
+        cols = {}  # (trial, n) -> column lengths, read back from col_over_n
+        for line in csv.read_text().splitlines()[1:]:
+            trial, n, _, _, col = line.split(",")
+            length = round(float(col) * int(n))
+            if length:
+                cols.setdefault((int(trial), int(n)), []).append(length)
+        for trial in (0, 1):
+            rho = ()
+            for n in range(1, 7):
+                sigma = conjugate(tuple(cols[trial, n]))
+                assert sigma in covers_up(rho), (trial, n)
+                rho = sigma
 
     def test_measure_mode_refuses_a_convention_that_does_not_fit(self, capsys):
         # lln has no --convention flag: a pure-beta point under expand-alpha is refused
@@ -179,6 +215,21 @@ class TestLln:
     def test_bad_haar_config_is_usage_error(self, capsys, extra, message):
         argv = ["lln", "--mode", "haar", "--q", "2", "--n", "10", "--trials", "2", "--seed", "3"]
         code = main(argv + extra)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == message + "\n"
+
+    @pytest.mark.parametrize(
+        "kmax,message",
+        [
+            ("3", "error: the haar gate reads 4 row frequencies, so k_max must be at least 4, got 3"),
+            ("0", "error: k_max must be at least 1, got 0"),
+            ("-3", "error: k_max must be at least 1, got -3"),
+        ],
+    )
+    def test_kmax_too_small_is_usage_error(self, capsys, kmax, message):
+        code = main(["lln", "--mode", "haar", "--n", "10", "--trials", "2", "--kmax", kmax])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""

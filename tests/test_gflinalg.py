@@ -9,15 +9,18 @@ from hallq.gflinalg import (
     block_diag,
     canonical_unipotent,
     char_poly,
+    combine,
     companion_matrix,
     conj_class_type,
     count_fixed_flags,
     count_unitriangular_by_type,
+    extend_matrix,
     extend_type,
     extension_counts,
     extension_counts_closed,
     field,
     identity,
+    image_filtration,
     invariant_subspace_count,
     invariant_subspace_counts,
     invariant_subspaces,
@@ -28,6 +31,7 @@ from hallq.gflinalg import (
     mat_inv,
     mat_mul,
     mat_vec,
+    pack,
     poly_eval_matrix,
     poly_from_text,
     poly_mul,
@@ -330,7 +334,7 @@ class TestExtensions:
                 assert sum(counts.values()) == q**n
                 assert set(counts) <= set(covers_up(rho))
 
-    @pytest.mark.parametrize("q,n_max", [(2, 10), (3, 6)])
+    @pytest.mark.parametrize("q,n_max", [(2, 10), (3, 6), (4, 5)])
     def test_closed_form_gate_default(self, q, n_max):
         report = validate_closed_extension_counts(n_max, q)
         assert report["ok"], report
@@ -389,6 +393,66 @@ class TestExtensions:
                 ups = set(covers_up(rho))
                 for b in product(range(2), repeat=n):
                     assert extend_type(u, b) in ups
+
+
+def _random_invertible(n, q, rng):
+    while True:
+        s = mat_from_rows([[rng.randrange(q) for _ in range(n)] for _ in range(n)], q)
+        if rank(s) == n:
+            return s
+
+
+class TestClosedFormReferee:
+    """extension_counts_closed against the rank argument, at sizes the
+    brute-force census cannot reach.
+
+    For xi = u - I nilpotent of type rho and a column b, the extension's
+    box lands in the least column k with xi^(k-1) b in Im xi^k, that is
+    with b in W_k = Im xi + ker xi^(k-1), and dim W_k = n - rank xi^(k-1)
+    + rank xi^k.  Each rho gets a seeded random conjugate P J_rho P^-1;
+    each sampled column's extension type (``jordan_type_unipotent``) must
+    put its box in the predicted column, the W_k membership must grow with
+    k, and the counts |W_j| - |W_(j-1)| read off the ranks of
+    ``image_filtration`` must be the closed form.
+    """
+
+    @pytest.mark.parametrize("q,n_max", [(2, 16), (3, 12)])
+    def test_random_conjugates(self, q, n_max):
+        ctx = field(q)
+        rng = random.Random(1000 + q)
+        landed = set()
+        for n in range(n_max + 1):
+            for rho in enumerate_partitions(n):
+                p = _random_invertible(n, q, rng)
+                u = mat_mul(mat_mul(p, canonical_unipotent(rho, q)), mat_inv(p))
+                xi = [pack([ctx.sub(u[i, j], int(i == j)) for i in range(n)], q) for j in range(n)]
+                images = image_filtration(xi, q)
+                ranks = [n] + [span.dim for span in images] + [0]
+                cols = conjugate(rho)
+                depth = len(cols) + 1  # b lies in W_depth = F_q^n
+                dims = [n - ranks[k - 1] + ranks[k] for k in range(1, depth + 1)]
+                assert dims == [n - c for c in cols] + [n], (rho, dims)
+
+                predicted, below = {}, 0  # |W_(j-1)|, with W_0 empty
+                for j, dim in enumerate(dims, start=1):
+                    if q**dim > below:
+                        sigma = conjugate(cols[: j - 1] + (cols[j - 1] + 1 if j <= len(cols) else 1,) + cols[j:])
+                        predicted[sigma] = q**dim - below
+                    below = q**dim
+                assert extension_counts_closed(rho, q) == predicted, rho
+
+                for _ in range(4):
+                    b = tuple(rng.randrange(q) for _ in range(n))
+                    v, member = pack(b, q), []  # member[k-1]: is b in W_k
+                    for k in range(1, depth + 1):
+                        member.append(k > len(images) or images[k - 1].contains(v))
+                        v = combine(xi, v, q)
+                    j = member.index(True) + 1
+                    assert member == [k >= j for k in range(1, depth + 1)], (rho, b)
+                    sigma = jordan_type_unipotent(extend_matrix(u, b))
+                    assert sigma in covers_up(rho) and conjugate(sigma)[j - 1] == (cols + (0,))[j - 1] + 1, (rho, b)
+                    landed.add(j)
+        assert landed >= {1, 2, 3}
 
 
 class TestCensus:

@@ -158,7 +158,7 @@ class TestMarkov:
         monkeypatch.setattr(gflinalg, "extension_counts_closed",
                             lambda rho, q: {s: 1 for s in covers_up(rho)})
         with pytest.raises(ConditionalLawError, match="conditional law sums to"):
-            markov_step((2, 1), meas, CounterRng(1), 0, 1, counts="closed")
+            markov_step((2, 1), meas, CounterRng(1), 0, 1)
 
     def test_corrupt_counts_raise_under_optimize(self):
         # the law check must not be an assert that python -O strips
@@ -173,7 +173,7 @@ class TestMarkov:
             spec = ThomaSpec(alphas=(SpecEntry(Fraction(2, 3)), SpecEntry(Fraction(1, 3))))
             meas = characteristic_measure(spec, GroundParams(2))
             try:
-                sampler.markov_step((2, 1), meas, sampler.CounterRng(1), 0, 1, counts="closed")
+                sampler.markov_step((2, 1), meas, sampler.CounterRng(1), 0, 1)
             except sampler.ConditionalLawError as exc:
                 print("raised:", exc)
         """)
@@ -186,8 +186,6 @@ class TestMarkov:
 
     def test_unknown_counts_source_is_rejected(self):
         meas = characteristic_measure(TWO, GroundParams(2))
-        with pytest.raises(ValueError, match="unknown counts source 'bogus'"):
-            markov_step((2, 1), meas, CounterRng(1), 0, 1, counts="bogus")
         with pytest.raises(ValueError, match="unknown counts source 'bogus'"):
             check_coherence(meas, 2, counts="bogus")
 
@@ -246,18 +244,14 @@ class TestRuns:
         m2, _ = matrix.means_and_se("rows")
         assert abs(m1[0] - m2[0]) < 0.1
 
-    def test_measure_mode_guard_and_fast(self):
-        cfg = SamplerConfig(mode="measure", q=2, n_max=16, trials=2, seed=5, spec=TWO)
-        with pytest.raises(ValueError):
-            run_lln(cfg)
-        cfg.fast_counts = True
-        rep = run_lln(cfg)
-        assert rep.counts_source.startswith("fast-path")
+    def test_measure_mode_runs_past_the_census_range(self):
+        # n = 16 is past the brute-force census at q = 2; no flag is needed
+        rep = run_lln(SamplerConfig(mode="measure", q=2, n_max=16, trials=2, seed=5, spec=TWO))
+        assert rep.counts_source == "closed-form counts"
         assert all(sum(rec.final_cols) == 16 for rec in rep.records)
 
     def test_measure_mode_determinism(self):
-        cfg = SamplerConfig(mode="measure", q=2, n_max=16, trials=4, seed=9, spec=TWO,
-                            fast_counts=True, snapshot_every=1)
+        cfg = SamplerConfig(mode="measure", q=2, n_max=16, trials=4, seed=9, spec=TWO, snapshot_every=1)
         first = run_lln(cfg)
         assert first.records == run_lln(cfg).records
         pooled = run_lln(dataclasses.replace(cfg, threads=2))
@@ -295,11 +289,19 @@ class TestRuns:
             {"mode": "measure", "engine": "matrix"},
             {"mode": "bogus"},
             {"mode": "haar", "engine": "matrix", "n_max": sampler.MATRIX_N_LIMIT + 1},
+            {"k_max": 0},
+            {"mode": "measure", "spec": TWO, "k_max": -3},
+            {"mode": "haar", "k_max": 3},
         ],
     )
     def test_config_rejects_bad_field_size_and_engine(self, bad):
         with pytest.raises(ValueError):
             SamplerConfig(**bad)
+
+    def test_measure_mode_takes_a_short_kmax(self):
+        # only the haar gate needs 4 rows
+        rep = run_lln(SamplerConfig(mode="measure", q=2, n_max=6, trials=2, seed=1, spec=TWO, k_max=1))
+        assert len(rep.to_dict()["row_freq_means"]) == 1
 
     def test_gate_small(self):
         cfg = SamplerConfig(mode="haar", engine="chain", q=2, n_max=200, trials=60, seed=42)
