@@ -75,6 +75,8 @@ def chi_unipotent(lam: Partition, rho: Partition, q) -> Fraction:
     if sum(lam) != sum(rho):
         raise ValueError("label and class must have the same size")
     q = Fraction(q)
+    if not q:
+        raise ValueError("q must be nonzero")
     return q ** n_stat(rho) * symfun.kostka_foulkes_entry(lam, rho, 1 / q)
 
 

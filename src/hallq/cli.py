@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Every subcommand emits JSON with an embedded run manifest (command, full
-parameter set, seed, code version, timing); exact rationals are serialized
-as "num/den" strings with decimal annotations on the side.  Exit codes:
-0 success, 1 failed verdict, 2 usage errors.
+Every subcommand returns its result and verdict; ``main`` wraps the result
+in a run manifest (command, full parameter set, seed, code version, timing)
+and emits it as JSON.  Exact rationals are serialized as "num/den" strings
+with decimal annotations on the side.  Exit codes: 0 success, 1 failed
+verdict, 2 usage errors (bad input raises ValueError or OSError).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import time
 from fractions import Fraction
 
 from . import __version__, characters, gflinalg, grassmann, ipfamily, measures, sampler, symfun
-from .partitions import enumerate_partitions, format_partition, gaussian_binomial, parse_partition
+from .partitions import conjugate, enumerate_partitions, format_partition, gaussian_binomial, parse_partition
 from .symfun import GroundParams, ThomaSpec, load_spec
 
 
@@ -36,20 +37,29 @@ def parse_class_type(text: str) -> dict:
         chunk = chunk.strip()
         if not chunk:
             continue
-        poly_text, part_text = chunk.split(":")
-        out[gflinalg.poly_from_text(poly_text)] = parse_partition(part_text)
+        poly_text, sep, part_text = chunk.partition(":")
+        poly = gflinalg.poly_from_text(poly_text)
+        if not sep or poly in out:
+            raise ValueError(f"class type needs poly:partition pairs with distinct polys, got {chunk!r}")
+        out[poly] = parse_partition(part_text)
     return out
 
 
-def _manifest(args, start: float, seed=None) -> dict:
-    params = {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None}
-    params = {k: (str(v) if isinstance(v, Fraction) else v) for k, v in params.items()}
+def _rational(text: str) -> Fraction:
+    """An exact rational from text such as "1/2"; ValueError on bad text."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def _manifest(args, timing_s: float) -> dict:
     return {
         "command": args.command,
-        "params": params,
-        "seed": seed,
+        "params": {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None},
+        "seed": getattr(args, "seed", None),
         "version": __version__,
-        "timing_s": round(time.time() - start, 3),
+        "timing_s": timing_s,
     }
 
 
@@ -68,9 +78,9 @@ def _emit(payload: dict, args) -> None:
 
 def _load_spec_arg(args) -> tuple[ThomaSpec, GroundParams]:
     spec, q_file = load_spec(args.spec)
-    q = Fraction(args.q) if args.q is not None else q_file
+    q = _rational(args.q) if args.q is not None else q_file
     if q is None:
-        raise SystemExit("missing q: pass --q or store it in the spec file")
+        raise ValueError("missing q: pass --q or store it in the spec file")
     return spec, GroundParams(q)
 
 
@@ -79,23 +89,19 @@ def _load_spec_arg(args) -> tuple[ThomaSpec, GroundParams]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_kostka_foulkes(args) -> int:
-    start = time.time()
-    t = Fraction(args.t)
+def cmd_kostka_foulkes(args) -> tuple[dict, bool]:
+    t = _rational(args.t)
     parts = enumerate_partitions(args.n)
     matrix = symfun.kostka_foulkes(args.n, t)
-    result = {
+    return {
         "degree": args.n,
         "t": _frac(t),
         "order": [format_partition(p) for p in parts],
         "matrix": [[_frac(x) for x in row] for row in matrix],
-    }
-    _emit({"manifest": _manifest(args, start), "result": result}, args)
-    return 0
+    }, True
 
 
-def cmd_cylinder(args) -> int:
-    start = time.time()
+def cmd_cylinder(args) -> tuple[dict, bool]:
     spec, ground = _load_spec_arg(args)
     rho = parse_partition(args.rho)
     meas = measures.characteristic_measure(spec, ground, args.convention)
@@ -106,26 +112,24 @@ def cmd_cylinder(args) -> int:
         other = measures.cylinder_via_q(meas, rho)
     else:
         other = measures.characteristic_cylinder_via_r(spec, rho, ground)
-    result = {
+    ok = value == other
+    return {
         "rho": format_partition(rho),
         "q": _frac(ground.q),
         "convention": args.convention,
         "value_num": str(value.numerator),
         "value_den": str(value.denominator),
         "decimal": float(value),
-        "checks": {"two_route_equal": value == other},
-    }
-    _emit({"manifest": _manifest(args, start), "result": result}, args)
-    return 0 if value == other else 1
+        "checks": {"two_route_equal": ok},
+    }, ok
 
 
-def cmd_coherence_check(args) -> int:
-    start = time.time()
+def cmd_coherence_check(args) -> tuple[dict, bool]:
     spec, ground = _load_spec_arg(args)
     meas = measures.characteristic_measure(spec, ground, args.convention)
     report = measures.check_coherence(meas, args.nmax, counts=args.counts)
     norm = measures.check_normalization(meas, min(args.nmax, 5))
-    result = {
+    return {
         "q": _frac(ground.q),
         "nmax": args.nmax,
         "counts": report.counts_source,
@@ -137,44 +141,40 @@ def cmd_coherence_check(args) -> int:
         "normalization_level": norm.n,
         "normalization_total": _frac(norm.total),
         "checks": {"coherence": report.ok, "normalization": norm.ok},
-    }
-    _emit({"manifest": _manifest(args, start), "result": result}, args)
-    return 0 if report.ok and norm.ok else 1
+    }, report.ok and norm.ok
 
 
-def cmd_character(args) -> int:
-    start = time.time()
-    q = Fraction(args.q)
-    if args.kind == "unipotent":
-        lam = parse_partition(args.label)
-        rho = parse_partition(args.cls)
-        value = characters.chi_unipotent(lam, rho, q)
-    elif args.kind == "induced":
-        mu = parse_partition(args.label)
-        rho = parse_partition(args.cls)
-        value = characters.psi_unipotent(mu, rho, q)
-    elif args.kind == "glb":
-        spec, ground = _load_spec_arg(args)
+def cmd_character(args) -> tuple[dict, bool]:
+    q = _rational(args.q)
+    if args.kind == "glb":
+        if args.spec is None or (args.cls is None and not args.class_type):
+            raise ValueError("--kind glb needs --spec and one of --class, --class-type")
+        spec, _ = load_spec(args.spec)
+        ground = GroundParams(q)
         if args.class_type:
-            phi = parse_class_type(args.class_type)
-            value = characters.glb_character_general(spec, phi, ground)
+            value = characters.glb_character_general(spec, parse_class_type(args.class_type), ground)
         else:
-            rho = parse_partition(args.cls)
-            value = characters.glb_character_unipotent(spec, rho, ground)
+            value = characters.glb_character_unipotent(spec, parse_partition(args.cls), ground)
     else:
-        raise SystemExit(f"unknown kind {args.kind}")
-    result = {"kind": args.kind, "q": _frac(q), "value": _frac_pair(value)}
-    _emit({"manifest": _manifest(args, start), "result": result}, args)
-    return 0
+        if args.label is None or args.cls is None:
+            raise ValueError(f"--kind {args.kind} needs --label and --class")
+        value_at = characters.chi_unipotent if args.kind == "unipotent" else characters.psi_unipotent
+        value = value_at(parse_partition(args.label), parse_partition(args.cls), q)
+    return {"kind": args.kind, "q": _frac(q), "value": _frac_pair(value)}, True
 
 
-def cmd_lln(args) -> int:
-    start = time.time()
+def cmd_lln(args) -> tuple[dict, bool]:
     spec = None
     if args.mode == "measure":
         if not args.spec:
-            raise SystemExit("measure mode needs --spec")
-        spec, _ = load_spec(args.spec)
+            raise ValueError("measure mode needs --spec")
+        spec, q_file = load_spec(args.spec)
+        if args.q is None and q_file is not None:
+            if q_file.denominator != 1:
+                raise ValueError(f"lln needs an integer q, the spec file stores {q_file}")
+            args.q = int(q_file)
+    if args.q is None:
+        args.q = 2
     config = sampler.SamplerConfig(
         mode=args.mode,
         engine=args.engine,
@@ -194,32 +194,23 @@ def cmd_lln(args) -> int:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(report.trajectories_csv())
         doc.pop("trajectories", None)
-    _emit({"manifest": _manifest(args, start, seed=args.seed), "result": doc}, args)
-    if args.mode == "haar" and not doc["gate"]["ok"]:
-        return 1
-    return 0
+    return doc, args.mode != "haar" or doc["gate"]["ok"]
 
 
-def cmd_flag_count(args) -> int:
-    start = time.time()
+def cmd_flag_count(args) -> tuple[dict, bool]:
     g = gflinalg.mat_from_text(args.matrix, args.q)
     mu = parse_partition(args.mu)
-    value = gflinalg.count_fixed_flags(g, mu)
-    result = {"matrix": args.matrix, "mu": format_partition(mu), "count": value}
-    _emit({"manifest": _manifest(args, start), "result": result}, args)
-    return 0
+    count = gflinalg.count_fixed_flags(g, mu)
+    return {"matrix": args.matrix, "mu": format_partition(mu), "count": count}, True
 
 
-def cmd_grassmann(args) -> int:
-    start = time.time()
+def cmd_grassmann(args) -> tuple[dict, bool]:
     cells = grassmann.enumerate_schubert_cells(args.n, args.k, args.q)
     syms = sorted(cells, key=lambda s: s.word)
-    table = []
-    for s1 in syms:
-        table.append([_frac(grassmann.cocycle(s1, s2, args.q)) for s2 in syms])
+    table = [[_frac(grassmann.cocycle(s1, s2, args.q)) for s2 in syms] for s1 in syms]
     total = sum(cells.values())
-    expected = gaussian_binomial(args.n, args.k, args.q)
-    result = {
+    ok = Fraction(total) == gaussian_binomial(args.n, args.k, args.q)
+    return {
         "n": args.n,
         "k": args.k,
         "q": args.q,
@@ -234,48 +225,36 @@ def cmd_grassmann(args) -> int:
         ],
         "cocycle_table": table,
         "total_subspaces": total,
-        "checks": {"total_equals_gaussian": Fraction(total) == expected},
-    }
-    _emit({"manifest": _manifest(args, start), "result": result}, args)
-    return 0 if Fraction(total) == expected else 1
+        "checks": {"total_equals_gaussian": ok},
+    }, ok
 
 
-def cmd_ipfamily_check(args) -> int:
-    start = time.time()
-    if args.example in ("gl", "affine"):
-        build = ipfamily.build_gl_ip_level if args.example == "gl" else ipfamily.build_affine_ip_level
-        level = build(args.m, args.q)
-        verdicts = {
-            "sizes": {"G": len(level.G), "P": len(level.P), "N": len(level.N)},
-            "embed_multiplicative": ipfamily.embed_multiplicativity_check(level),
-            "flag_induction": ipfamily.flag_induction_check(args.m, args.q)
-            if args.example == "gl"
-            else None,
-        }
-        ok = verdicts["embed_multiplicative"] and verdicts["flag_induction"] is not False
-    else:
+def cmd_ipfamily_check(args) -> tuple[dict, bool]:
+    if args.example == "wreath":
         coeff = ipfamily.cyclic_group(args.coeff)
         level = ipfamily.build_wreath_ip_level(args.m, coeff)
+    else:
+        build = ipfamily.build_gl_ip_level if args.example == "gl" else ipfamily.build_affine_ip_level
+        level = build(args.m, args.q)
+    verdicts = {
+        "sizes": {"G": len(level.G), "P": len(level.P), "N": len(level.N)},
+        "embed_multiplicative": ipfamily.embed_multiplicativity_check(level),
+    }
+    if args.example == "wreath":
         uniform = {i: Fraction(1, args.coeff) for i in range(args.coeff)}
-        verdicts = {
-            "sizes": {"G": len(level.G), "P": len(level.P), "N": len(level.N)},
-            "embed_multiplicative": ipfamily.embed_multiplicativity_check(level),
-            "de_finetti_uniform_central": ipfamily.de_finetti_central_check(
-                min(args.m + 1, 3), coeff, uniform
-            ),
-        }
-        ok = all(v for v in verdicts.values() if isinstance(v, bool))
-    result = {"example": args.example, "m": args.m, "verdicts": verdicts}
-    _emit({"manifest": _manifest(args, start), "result": result}, args)
-    return 0 if ok else 1
+        central = ipfamily.de_finetti_central_check(min(args.m + 1, 3), coeff, uniform)
+        verdicts["de_finetti_uniform_central"] = central
+    elif args.example == "gl":
+        verdicts["flag_induction"] = ipfamily.flag_induction_check(args.m, args.q)
+    else:
+        verdicts["flag_induction"] = None
+    ok = all(v is not False for v in verdicts.values())
+    return {"example": args.example, "m": args.m, "verdicts": verdicts}, ok
 
 
-def cmd_selftest(args) -> int:
-    start = time.time()
+def cmd_selftest(args) -> tuple[dict, bool]:
     t = Fraction(1, 2)
     checks: dict[str, bool] = {}
-
-    from .partitions import conjugate
 
     checks["conjugate_involution"] = all(
         conjugate(conjugate(lam)) == lam for n in range(7) for lam in enumerate_partitions(n)
@@ -323,9 +302,8 @@ def cmd_selftest(args) -> int:
     level = ipfamily.build_gl_ip_level(1, 2)
     checks["embed_multiplicative"] = ipfamily.embed_multiplicativity_check(level)
     checks["flag_induction"] = ipfamily.flag_induction_check(1, 2)
-    result = {"level": args.level, "checks": checks, "ok": all(checks.values())}
-    _emit({"manifest": _manifest(args, start), "result": result}, args)
-    return 0 if result["ok"] else 1
+    ok = all(checks.values())
+    return {"level": args.level, "checks": checks, "ok": ok}, ok
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lln", help="Monte Carlo growth of Jordan types")
     p.add_argument("--mode", default="haar", choices=("haar", "measure"))
     p.add_argument("--engine", default="chain", choices=("chain", "matrix", "markov"))
-    p.add_argument("--q", type=int, default=2)
+    p.add_argument("--q", type=int, help="field size (default: the spec file's q in measure mode, else 2)")
     p.add_argument("--n", type=int, default=400)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=42)
@@ -415,13 +393,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    start = time.time()
     try:
-        return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+        result, ok = args.func(args)
+        _emit({"manifest": _manifest(args, round(time.time() - start, 3)), "result": result}, args)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -308,7 +308,9 @@ def rank(m: MatGF) -> int:
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _trim(entries) -> tuple[int, ...]:
+def poly_trim(entries) -> tuple[int, ...]:
+    """Drop trailing zeros: the canonical form of a packed vector over
+    q > 2 and of a polynomial."""
     entries = list(entries)
     while entries and not entries[-1]:
         entries.pop()
@@ -319,7 +321,7 @@ def pack(entries, q: int):
     """Packed form of the vector with the given entries (ints 0..q-1)."""
     if q == 2:
         return int(bytes(entries[::-1]).translate(_BIT_CHARS) or b"0", 2)
-    return _trim(entries)
+    return poly_trim(entries)
 
 
 def _pack_rows(m: MatGF, shift: int = 0) -> list:
@@ -330,7 +332,7 @@ def _pack_rows(m: MatGF, shift: int = 0) -> list:
     if shift:
         sub = m.ctx.sub
         rows = [r[:i] + (sub(r[i], shift),) + r[i + 1 :] for i, r in enumerate(rows)]
-    return [_trim(r) for r in rows]
+    return [poly_trim(r) for r in rows]
 
 
 def combine(cols, v, q: int):
@@ -352,7 +354,7 @@ def combine(cols, v, q: int):
                 acc.extend([0] * (len(col) - len(acc)))
             scaled = mul[c]
             acc[: len(col)] = [add[x][scaled[y]] for x, y in zip(acc, col)]
-    return _trim(acc)
+    return poly_trim(acc)
 
 
 class Span:
@@ -408,7 +410,7 @@ class Span:
             if b is None:
                 return v
             scaled = mul[neg[v[-1]]]
-            v = _trim([add[x][scaled[y]] for x, y in zip(v, b)])
+            v = poly_trim([add[x][scaled[y]] for x, y in zip(v, b)])
         return v
 
     def contains(self, v) -> bool:
@@ -448,13 +450,6 @@ def image_filtration(cols, q: int) -> list[Span]:
 # ---------------------------------------------------------------------------
 # polynomials over F_q (tuples, low degree first, no trailing zeros)
 # ---------------------------------------------------------------------------
-
-
-def poly_trim(c) -> tuple[int, ...]:
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
 
 
 def poly_mul(a, b, ctx: FieldCtx) -> tuple[int, ...]:
@@ -811,8 +806,9 @@ def all_subspaces(n: int, q: int) -> tuple[tuple[frozenset, int], ...]:
         dim += 1
         new_frontier = []
         for space in frontier:
+            covered = set(space)  # v in S + <u> for a u already tried gives S + <v> = S + <u>
             for v in vectors:
-                if v in space:
+                if v in covered:
                     continue
                 new = set()
                 for w in space:
@@ -820,6 +816,7 @@ def all_subspaces(n: int, q: int) -> tuple[tuple[frozenset, int], ...]:
                         cv = tuple(ctx.add(wi, ctx.mul(c, vi)) for wi, vi in zip(w, v))
                         new.add(cv)
                 fs = frozenset(new)
+                covered |= fs
                 if fs not in seen:
                     seen.add(fs)
                     spaces.append((fs, dim))
@@ -843,6 +840,8 @@ def invariant_subspaces(g: MatGF, dim: int) -> list[frozenset]:
 def count_fixed_flags(g: MatGF, mu: tuple[int, ...]) -> int:
     """Number of g-invariant flags with dimension vector mu."""
     n = g.n_rows
+    if g.n_cols != n:
+        raise ValueError(f"fixed flags need a square matrix, got {n}x{g.n_cols}")
     if sum(mu) != n:
         raise ValueError("dimension vector must sum to n")
     if any(p <= 0 for p in mu):

@@ -77,22 +77,22 @@ def expand_spec(spec: ThomaSpec, convention: str) -> ThomaSpec:
 class CentralMeasure:
     """A central measure with memoized exact cylinder probabilities.
 
-    ``route`` is derived: ``FAST_R_ROUTE`` when the label has a fast r-route
-    and the evaluation point is its ``expand-both`` expansion, else
-    ``Q_ROUTE``.
+    The rest is derived: ``eval_spec`` is the label expanded under the
+    convention, ``memo`` starts empty, and ``route`` is ``FAST_R_ROUTE`` when
+    the label has a fast r-route and ``eval_spec`` is its ``expand-both``
+    expansion, else ``Q_ROUTE``.
     """
 
     label: ThomaSpec
     ground: GroundParams
     convention: str = DEFAULT_CONVENTION
-    eval_spec: ThomaSpec = None
-    memo: dict[Partition, Fraction] = field(default_factory=dict)
+    eval_spec: ThomaSpec = field(init=False)
+    memo: dict[Partition, Fraction] = field(init=False, default_factory=dict)
     route: str = field(init=False)
 
     def __post_init__(self):
         self.label.require_normalized()
-        if self.eval_spec is None:
-            self.eval_spec = expand_spec(self.label, self.convention)
+        self.eval_spec = expand_spec(self.label, self.convention)
         fast = fast_route_available(self.label) and self.eval_spec == expand_spec(self.label, "expand-both")
         self.route = FAST_R_ROUTE if fast else Q_ROUTE
 

@@ -27,9 +27,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm, sqrt
+from operator import neg
 from typing import Optional
 
 from . import gflinalg, measures
@@ -116,14 +118,14 @@ def chain_haar_step(cols: list[int], z: int) -> int:
     """Add one box given the geometric draw z; returns the column index.
 
     The box goes to the first column j with cols[j-1] <= z, which happens
-    with probability t^(cols_j) - t^(cols_{j-1}) as required.
+    with probability t^(cols_j) - t^(cols_{j-1}) as required.  The column
+    lengths decrease, so a bisection on their negatives finds it.
     """
-    for j, c in enumerate(cols):
-        if c <= z:
-            cols[j] += 1
-            return j + 1
-    cols.append(1)
-    return len(cols)
+    j = bisect_left(cols, -z, key=neg)
+    if j == len(cols):
+        cols.append(0)
+    cols[j] += 1
+    return j + 1
 
 
 @dataclass

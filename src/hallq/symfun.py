@@ -208,14 +208,29 @@ def spec_to_dict(spec: ThomaSpec, q: Rational | None = None) -> dict:
 
 
 def spec_from_dict(doc: Mapping) -> tuple[ThomaSpec, Fraction | None]:
-    def entries(key):
-        return tuple(
-            SpecEntry(Fraction(e["value"]), bool(e.get("geometric", False)))
-            for e in doc.get(key, ())
-        )
+    """The point and stored q (or None) of a spec document; ValueError if it
+    is not an object or has a missing or ill-typed field."""
 
-    spec = ThomaSpec(entries("alphas"), entries("betas"), Fraction(doc.get("gamma", "0")))
-    q = Fraction(doc["q"]) if "q" in doc else None
+    def rational(x, where: str) -> Fraction:
+        try:
+            if isinstance(x, (str, int, float)) and not isinstance(x, bool):
+                return Fraction(x)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            pass
+        raise ValueError(f"malformed spec file: {where} is not a finite rational: {x!r}")
+
+    def entries(key):
+        items = doc.get(key, [])
+        if not isinstance(items, list) or not all(
+            isinstance(e, Mapping) and "value" in e and isinstance(e.get("geometric", False), bool) for e in items
+        ):
+            raise ValueError(f"malformed spec file: {key} must be a list of {{value, geometric: bool}} objects")
+        return tuple(SpecEntry(rational(e["value"], f"{key} value"), e.get("geometric", False)) for e in items)
+
+    if not isinstance(doc, Mapping):
+        raise ValueError(f"malformed spec file: expected an object, got {type(doc).__name__}")
+    spec = ThomaSpec(entries("alphas"), entries("betas"), rational(doc.get("gamma", "0"), "gamma"))
+    q = rational(doc["q"], "q") if "q" in doc else None
     return spec, q
 
 

@@ -17,6 +17,17 @@ def run_cli(argv, capsys):
     return code, (json.loads(out) if out.strip() else None)
 
 
+def assert_usage_error(argv, capsys) -> str:
+    """Exit 2, nothing on stdout, one "error:" line on stderr; returns it."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    return captured.err
+
+
 class TestCylinder:
     def test_haar_level3(self, capsys):
         code, doc = run_cli(
@@ -129,6 +140,12 @@ class TestClassTypeParsing:
     def test_parse(self):
         phi = parse_class_type("11:2,1;111:1")
         assert phi == {(1, 1): (2, 1), (1, 1, 1): (1,)}
+
+    @pytest.mark.parametrize("text", ["11", "11:1;11:2", "11:1;110:2"])
+    def test_missing_colon_or_repeated_poly(self, text):
+        # a repeated polynomial once overwrote the earlier pair without a word
+        with pytest.raises(ValueError, match="distinct polys"):
+            parse_class_type(text)
 
 
 class TestLln:
@@ -308,3 +325,76 @@ class TestOtherCommands:
         with pytest.raises(SystemExit) as err:
             main(["bogus"])
         assert err.value.code == 2
+
+
+class TestUsageErrors:
+    """Inputs that once ended in a traceback, exit 1 or a wrong answer."""
+
+    def test_unipotent_character_without_label_or_class(self, capsys):
+        err = assert_usage_error(["character", "--kind", "unipotent", "--q", "2"], capsys)
+        assert "--label" in err and "--class" in err
+
+    def test_glb_character_without_spec(self, capsys):
+        err = assert_usage_error(["character", "--kind", "glb", "--q", "2", "--class", "2,1"], capsys)
+        assert "--spec" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kostka-foulkes", "--n", "3", "--t", "1/0"],
+            ["character", "--kind", "unipotent", "--label", "1", "--class", "1", "--q", "1/0"],
+        ],
+    )
+    def test_zero_denominator(self, capsys, argv):
+        assert assert_usage_error(argv, capsys) == "error: zero denominator in '1/0'\n"
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"alphas":[{"val":"1"}]}', "[1,2]", '{"alphas":[{"value":"1/0"}]}'],
+    )
+    def test_malformed_spec_file(self, capsys, tmp_path, text):
+        spec = tmp_path / "bad.spec"
+        spec.write_text(text)
+        err = assert_usage_error(["cylinder", "--spec", str(spec), "--q", "2", "--rho", "1"], capsys)
+        assert err.startswith("error: malformed spec file: ")
+
+    def test_spec_is_a_directory(self, capsys):
+        assert_usage_error(["cylinder", "--spec", str(SPECS), "--q", "2", "--rho", "1"], capsys)
+
+    def test_spec_without_q_and_no_flag(self, capsys, tmp_path):
+        spec = tmp_path / "noq.spec"
+        spec.write_text('{"alphas": [{"value": "1"}]}')
+        err = assert_usage_error(["cylinder", "--spec", str(spec), "--rho", "1"], capsys)
+        assert err == "error: missing q: pass --q or store it in the spec file\n"
+
+    def test_measure_lln_without_spec(self, capsys):
+        err = assert_usage_error(["lln", "--mode", "measure", "--n", "5", "--trials", "2"], capsys)
+        assert err == "error: measure mode needs --spec\n"
+
+    @pytest.mark.parametrize("matrix,shape", [("11", "1x2"), ("110;011", "2x3")])
+    def test_flag_count_needs_a_square_matrix(self, capsys, matrix, shape):
+        err = assert_usage_error(["flag-count", "--matrix", matrix, "--q", "2", "--mu", "1"], capsys)
+        assert err == f"error: fixed flags need a square matrix, got {shape}\n"
+
+    def test_measure_lln_takes_q_from_the_spec_file(self, capsys, tmp_path):
+        doc = json.loads((SPECS / "two_thirds.spec").read_text())
+        doc["q"] = "3"
+        spec = tmp_path / "two_thirds_q3.spec"
+        spec.write_text(json.dumps(doc))
+        argv = ["lln", "--mode", "measure", "--spec", str(spec), "--n", "6", "--trials", "2"]
+        code, from_file = run_cli(argv, capsys)
+        assert code == 0
+        code, from_flag = run_cli(argv + ["--q", "3"], capsys)
+        assert code == 0
+        for doc in (from_file, from_flag):
+            doc["manifest"].pop("timing_s")
+        assert from_file["result"]["q"] == 3 and from_file["manifest"]["params"]["q"] == 3
+        assert from_file == from_flag
+
+    def test_output_path_is_a_directory(self, capsys, tmp_path):
+        argv = ["cylinder", "--spec", str(SPECS / "haar.spec"), "--q", "2", "--rho", "1", "--out", str(tmp_path)]
+        assert_usage_error(argv, capsys)
+
+    def test_character_at_q_zero(self, capsys):
+        argv = ["character", "--kind", "unipotent", "--label", "1", "--class", "1", "--q", "0"]
+        assert assert_usage_error(argv, capsys) == "error: q must be nonzero\n"

@@ -67,7 +67,26 @@ class TestRng:
         assert abs(frac0 - 0.5) < 0.05  # geometric(1/2)
 
 
+def _linear_chain_step(cols, z):
+    """Referee for the bisection in chain_haar_step: scan for the first
+    column of length at most z."""
+    for j, c in enumerate(cols):
+        if c <= z:
+            cols[j] += 1
+            return j + 1
+    cols.append(1)
+    return len(cols)
+
+
 class TestChainStep:
+    def test_bisection_matches_linear_scan(self):
+        for n in range(11):
+            for lam in enumerate_partitions(n):
+                for z in range((lam[0] if lam else 0) + 2):
+                    fast, slow = list(lam), list(lam)
+                    assert chain_haar_step(fast, z) == _linear_chain_step(slow, z), (lam, z)
+                    assert fast == slow, (lam, z)
+
     def test_columns_stay_partition(self):
         cols = []
         rng = CounterRng(3)
