@@ -23,8 +23,8 @@ from .partitions import (
     enumerate_partitions,
     gaussian_multinomial,
     hook_lengths,
-    kostka_number,
     n_stat,
+    partition_index,
     validate_partition,
 )
 from .symfun import EvalPoint, GroundParams
@@ -88,11 +88,11 @@ def psi_unipotent(mu, rho: Partition, q) -> Fraction:
     n = sum(rho)
     if sum(mu_part) != n:
         raise ValueError("composition size mismatch")
+    j = partition_index(n)[mu_part]
     total = Fraction(0)
-    for lam in enumerate_partitions(n):
-        k = kostka_number(lam, mu_part)
-        if k:
-            total += k * chi_unipotent(lam, rho, q)
+    for lam, row in zip(enumerate_partitions(n), symfun.kostka_numbers(n)):
+        if row[j]:
+            total += row[j] * chi_unipotent(lam, rho, q)
     return total
 
 
@@ -180,7 +180,7 @@ def chi_via_flag_oracle(n: int, q: int) -> tuple[tuple[Fraction, ...], ...]:
     """Unipotent character table from flag counts alone.
 
     Solves psi = K^T chi by forward substitution (K is unit upper triangular
-    in the fixed indexing); independent of the charge statistic.
+    in the fixed indexing); independent of the Kostka-Foulkes polynomials.
     """
     parts = enumerate_partitions(n)
     size = len(parts)

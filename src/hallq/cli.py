@@ -45,8 +45,31 @@ def parse_class_type(text: str) -> dict:
     return out
 
 
+# Python's default limit on the digits of an int written as text: a larger
+# numerator or denominator could not be printed in the output.
+MAX_RATIONAL_DIGITS = 4300
+
+
 def _rational(text: str) -> Fraction:
-    """An exact rational from text such as "1/2"; ValueError on bad text."""
+    """An exact rational from text such as "1/2" or "2.5e-3"; ValueError on
+    bad text, a zero denominator, or a numerator or denominator that would
+    exceed MAX_RATIONAL_DIGITS digits.
+
+    That bound is checked on the text, before the number is built: each side
+    of "a/b" counts its digits, and a decimal counts the digits of its
+    mantissa (at least one before the point) plus the size of its exponent.
+    """
+    mantissa, _, exponent = text.lower().partition("e")
+    whole, _, decimals = mantissa.partition(".")
+    digits = [sum(ch.isdigit() for ch in side) for side in whole.split("/")]
+    try:
+        shift = abs(int(exponent)) if exponent else 0
+    except ValueError:
+        raise ValueError(f"not a rational: {text[:40]!r}") from None
+    if max(max(digits), 1) + sum(ch.isdigit() for ch in decimals) + shift > MAX_RATIONAL_DIGITS:
+        raise ValueError(
+            f"rational input {text[:40]!r} would have more than {MAX_RATIONAL_DIGITS} digits"
+        )
     try:
         return Fraction(text)
     except ZeroDivisionError:

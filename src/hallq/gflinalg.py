@@ -311,10 +311,11 @@ _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 def poly_trim(entries) -> tuple[int, ...]:
     """Drop trailing zeros: the canonical form of a packed vector over
     q > 2 and of a polynomial."""
-    entries = list(entries)
-    while entries and not entries[-1]:
-        entries.pop()
-    return tuple(entries)
+    entries = tuple(entries)
+    end = len(entries)
+    while end and not entries[end - 1]:
+        end -= 1
+    return entries[:end]
 
 
 def pack(entries, q: int):
@@ -424,7 +425,7 @@ class Span:
             self._basis[v.bit_length()] = v
         else:
             scaled = self.ctx._mul_table[self.ctx.inv(v[-1])]
-            self._basis[len(v)] = tuple(scaled[x] for x in v)
+            self._basis[len(v)] = tuple([scaled[x] for x in v])
 
 
 def image_filtration(cols, q: int) -> list[Span]:
@@ -667,10 +668,15 @@ def class_type_key(ct: dict[tuple[int, ...], Partition]) -> tuple:
 
 
 def extend_matrix(u: MatGF, b: tuple[int, ...]) -> MatGF:
+    """[[u, b], [0, 1]] for a square u.  Only the new column b is validated:
+    the entries of u were checked when u was built."""
     n = u.n_rows
-    rows = [u.rows[i] + (b[i],) for i in range(n)]
-    rows.append(tuple(0 for _ in range(n)) + (1,))
-    return MatGF(tuple(rows), u.q)
+    if u.n_cols != n or len(b) != n or any(not 0 <= x < u.q for x in b):
+        raise ValueError("extend_matrix needs a square matrix and one field entry per row")
+    out = object.__new__(MatGF)  # skips MatGF.__post_init__, which would re-check u
+    object.__setattr__(out, "rows", tuple(row + (x,) for row, x in zip(u.rows, b)) + ((0,) * n + (1,),))
+    object.__setattr__(out, "q", u.q)
+    return out
 
 
 def extend_type(u: MatGF, b: tuple[int, ...]) -> Partition:

@@ -1,21 +1,187 @@
-"""Brute-force Hall-Littlewood P polynomials by explicit symmetrization.
+"""Independent referees for the Hall-Littlewood transition layer.
 
-Independent oracle: P_lam in n = |lam| variables is computed from the
-defining alternant
+Never used on the production path; the tests compare ``symfun`` against
+them.
+
+- Semistandard tableaux by enumeration: their counts are the Kostka numbers.
+- The charge statistic: K_{lam,mu}(t) is the sum of t^charge over the
+  tableaux of shape lam and content mu (Lascoux-Schutzenberger).
+- Hall-Littlewood P by explicit symmetrization: P_lam in n = |lam|
+  variables from the defining alternant
 
     P_lam = (1/v_lam(t)) * sum over w in S_n of
             sign(w) * w(x^lam * prod_{i<j} (x_i - t x_j)) / Vandermonde
 
-with exact polynomial arithmetic over Fractions.  Never used on the main
-code path; tests compare the charge-based transition matrices against it.
+  with exact polynomial arithmetic over Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
+from typing import Sequence
 
-from .partitions import Partition, enumerate_partitions, partition_index
+from .partitions import Partition, enumerate_partitions, partition_index, validate_partition
+
+# A semistandard tableau, stored row by row.
+Tableau = tuple[tuple[int, ...], ...]
+
+
+def enumerate_ssyt(shape: Partition, content: Partition) -> tuple[Tableau, ...]:
+    """All semistandard tableaux of the given shape and content.
+
+    Rows weakly increase, columns strictly increase; entry i appears
+    content[i-1] times.  The count is the Kostka number.
+    """
+    shape = validate_partition(shape)
+    content = tuple(content)
+    if sum(shape) != sum(content):
+        raise ValueError("shape and content must have the same size")
+    return _ssyt_cached(shape, content)
+
+
+@lru_cache(maxsize=None)
+def _ssyt_cached(shape: Partition, content: Partition) -> tuple[Tableau, ...]:
+    n_rows = len(shape)
+    rows: list[list[int]] = [[] for _ in range(n_rows)]
+    remaining = list(content)
+    out: list[Tableau] = []
+
+    def place(letter: int) -> None:
+        if letter > len(remaining):
+            out.append(tuple(tuple(r) for r in rows))
+            return
+        count = remaining[letter - 1]
+        if count == 0:
+            place(letter + 1)
+            return
+
+        # Distribute `count` copies of `letter` over rows, scanning top down;
+        # in each row they occupy a contiguous stretch at the current end.
+        def fill(row: int, left: int) -> None:
+            if left == 0:
+                place(letter + 1)
+                return
+            if row >= n_rows:
+                return
+            here = len(rows[row])
+            cap = shape[row] - here
+            # strict column condition against the row above
+            if row > 0:
+                above = rows[row - 1]
+                cap = min(cap, sum(1 for j in range(here, len(above)) if above[j] < letter))
+            cap = min(cap, left)
+            lo = 0
+            for take in range(cap, lo - 1, -1):
+                rows[row].extend([letter] * take)
+                fill(row + 1, left - take)
+                del rows[row][here:]
+
+        fill(0, count)
+
+    place(1)
+    return tuple(out)
+
+
+def kostka_number(shape: Partition, content: Partition) -> int:
+    return len(enumerate_ssyt(shape, content))
+
+
+def tableau_is_semistandard(t: Tableau, shape: Partition, content: Partition) -> bool:
+    if tuple(len(r) for r in t) != tuple(shape):
+        return False
+    counts: dict[int, int] = {}
+    for i, row in enumerate(t):
+        for j, v in enumerate(row):
+            if v < 1:
+                return False
+            counts[v] = counts.get(v, 0) + 1
+            if j + 1 < len(row) and row[j + 1] < v:
+                return False
+            if i + 1 < len(t) and j < len(t[i + 1]) and t[i + 1][j] <= v:
+                return False
+    want = {i + 1: c for i, c in enumerate(content) if c}
+    return counts == want
+
+
+def reading_word(t: Tableau) -> tuple[int, ...]:
+    """Rows read right to left, top row first."""
+    word: list[int] = []
+    for row in t:
+        word.extend(reversed(row))
+    return tuple(word)
+
+
+def _standard_charge(letters: Sequence[int], positions: Sequence[int]) -> int:
+    """Charge of a standard subword given as (letter, position-in-word) pairs."""
+    pos = {letter: p for letter, p in zip(letters, positions)}
+    index = 0
+    total = 0
+    for r in range(2, len(letters) + 1):
+        if pos[r] < pos[r - 1]:
+            index += 1
+        total += index
+    return total
+
+
+def charge(t: Tableau) -> int:
+    """Charge of a semistandard tableau with partition content.
+
+    The reading word is decomposed into standard subwords by the circular
+    rule: take the rightmost 1, then for each next letter the first
+    occurrence strictly to the right of the current one, wrapping to the
+    leftmost occurrence when none remains; the charge is the sum of the
+    subword charges.  Pinned by: one-row tableaux of content rho have charge
+    n(rho), the superstandard tableau of any shape has charge 0, and the full
+    transition matrices match the brute-force symmetrization oracle.
+    """
+    word = list(reading_word(t))
+    content: dict[int, int] = {}
+    for v in word:
+        content[v] = content.get(v, 0) + 1
+    letters = sorted(content)
+    if letters != list(range(1, len(letters) + 1)) or any(
+        content[i] < content[i + 1] for i in range(1, len(letters))
+    ):
+        raise ValueError("charge requires partition content")
+
+    total = 0
+    alive = list(range(len(word)))
+    while alive:
+        max_letter = max(word[i] for i in alive)
+        chosen: list[int] = []
+        cursor = None
+        for letter in range(1, max_letter + 1):
+            cand = [i for i in alive if word[i] == letter and i not in chosen]
+            if cursor is None:
+                pick = max(cand)
+            else:
+                right = [i for i in cand if i > cursor]
+                pick = min(right) if right else min(cand)
+            chosen.append(pick)
+            cursor = pick
+        chosen_sorted = sorted(chosen)
+        total += _standard_charge([word[i] for i in chosen_sorted], chosen_sorted)
+        alive = [i for i in alive if i not in set(chosen)]
+    return total
+
+
+@lru_cache(maxsize=None)
+def _charges(shape: Partition, content: Partition) -> tuple[int, ...]:
+    return tuple(charge(t) for t in enumerate_ssyt(shape, content))
+
+
+def charge_kostka_foulkes(shape: Partition, content: Partition) -> tuple[int, ...]:
+    """Coefficients of K_{shape,content}(t), constant term first, from the
+    charges of the tableaux; () when there are none."""
+    coeffs: list[int] = []
+    for c in _charges(shape, content):
+        coeffs.extend([0] * (c + 1 - len(coeffs)))
+        coeffs[c] += 1
+    return tuple(coeffs)
+
+
 
 Poly = dict[tuple[int, ...], Fraction]
 

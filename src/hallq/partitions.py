@@ -1,4 +1,4 @@
-"""Integer partitions, Young-lattice moves, tableaux and Gaussian binomials.
+"""Integer partitions, Young-lattice moves and Gaussian binomials.
 
 Partitions are plain tuples of weakly decreasing positive ints; the empty
 partition is ``()``.  All enumeration orders are fixed to reverse
@@ -13,8 +13,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 Partition = tuple[int, ...]
-# A semistandard tableau, stored row by row.
-Tableau = tuple[tuple[int, ...], ...]
 
 # Full exact transition matrices are built per degree; p(30) = 5604 keeps the
 # dense ones at the default cap tractable.
@@ -207,83 +205,6 @@ def gaussian_multinomial(n: int, mu: tuple[int, ...], q) -> Fraction:
         value *= gaussian_binomial(rest, part, q)
         rest -= part
     return value
-
-
-def enumerate_ssyt(shape: Partition, content: Partition) -> tuple[Tableau, ...]:
-    """All semistandard tableaux of the given shape and content.
-
-    Rows weakly increase, columns strictly increase; entry i appears
-    content[i-1] times.  The count is the Kostka number.
-    """
-    shape = validate_partition(shape)
-    content = tuple(content)
-    if sum(shape) != sum(content):
-        raise ValueError("shape and content must have the same size")
-    return _ssyt_cached(shape, content)
-
-
-@lru_cache(maxsize=None)
-def _ssyt_cached(shape: Partition, content: Partition) -> tuple[Tableau, ...]:
-    n_rows = len(shape)
-    rows: list[list[int]] = [[] for _ in range(n_rows)]
-    remaining = list(content)
-    out: list[Tableau] = []
-
-    def place(letter: int) -> None:
-        if letter > len(remaining):
-            out.append(tuple(tuple(r) for r in rows))
-            return
-        count = remaining[letter - 1]
-        if count == 0:
-            place(letter + 1)
-            return
-
-        # Distribute `count` copies of `letter` over rows, scanning top down;
-        # in each row they occupy a contiguous stretch at the current end.
-        def fill(row: int, left: int) -> None:
-            if left == 0:
-                place(letter + 1)
-                return
-            if row >= n_rows:
-                return
-            here = len(rows[row])
-            cap = shape[row] - here
-            # strict column condition against the row above
-            if row > 0:
-                above = rows[row - 1]
-                cap = min(cap, sum(1 for j in range(here, len(above)) if above[j] < letter))
-            cap = min(cap, left)
-            lo = 0
-            for take in range(cap, lo - 1, -1):
-                rows[row].extend([letter] * take)
-                fill(row + 1, left - take)
-                del rows[row][here:]
-
-        fill(0, count)
-
-    place(1)
-    return tuple(out)
-
-
-def kostka_number(shape: Partition, content: Partition) -> int:
-    return len(enumerate_ssyt(shape, content))
-
-
-def tableau_is_semistandard(t: Tableau, shape: Partition, content: Partition) -> bool:
-    if tuple(len(r) for r in t) != tuple(shape):
-        return False
-    counts: dict[int, int] = {}
-    for i, row in enumerate(t):
-        for j, v in enumerate(row):
-            if v < 1:
-                return False
-            counts[v] = counts.get(v, 0) + 1
-            if j + 1 < len(row) and row[j + 1] < v:
-                return False
-            if i + 1 < len(t) and j < len(t[i + 1]) and t[i + 1][j] <= v:
-                return False
-    want = {i + 1: c for i, c in enumerate(content) if c}
-    return counts == want
 
 
 def partition_count(n: int) -> int:

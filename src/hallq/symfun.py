@@ -7,6 +7,13 @@ matrices are built once per degree (and per t where relevant), indexed by the
 reverse-lexicographic partition list, and are triangular with unit diagonal
 wherever dominance theory says they must be.
 
+No tableau is enumerated.  Schur functions enter power sums through the
+Murnaghan-Nakayama character table, Kostka numbers come from Pieri's
+horizontal strips, and the Kostka-Foulkes polynomials from one integer
+factorisation of the t-Hall Gram matrix per degree, evaluated at any t.
+Hall-Littlewood P and Q are solved for directly in power sums.  The
+tableau and symmetrization referees live in ``hloracle``.
+
 Evaluation points are ``ThomaSpec`` objects: finite lists of atom or
 geometric-family coordinates (alpha; beta) plus a gamma that feeds only the
 first power sum.  A geometric entry with mass a stands for the sequence
@@ -22,16 +29,15 @@ import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
+from operator import mul
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
 from .partitions import (
     Partition,
-    Tableau,
     check_degree,
     enumerate_partitions,
-    enumerate_ssyt,
-    kostka_number,
     n_stat,
     partition_index,
     validate_partition,
@@ -246,80 +252,98 @@ def load_spec(path) -> tuple[ThomaSpec, Fraction | None]:
 
 
 # ---------------------------------------------------------------------------
-# charge and Kostka-Foulkes
+# characters, Kostka numbers and Kostka-Foulkes polynomials
 # ---------------------------------------------------------------------------
 
 
-def reading_word(t: Tableau) -> tuple[int, ...]:
-    """Rows read right to left, top row first."""
-    word: list[int] = []
-    for row in t:
-        word.extend(reversed(row))
-    return tuple(word)
-
-
-def _standard_charge(letters: Sequence[int], positions: Sequence[int]) -> int:
-    """Charge of a standard subword given as (letter, position-in-word) pairs."""
-    pos = {letter: p for letter, p in zip(letters, positions)}
-    index = 0
-    total = 0
-    for r in range(2, len(letters) + 1):
-        if pos[r] < pos[r - 1]:
-            index += 1
-        total += index
-    return total
-
-
-def charge(t: Tableau) -> int:
-    """Charge of a semistandard tableau with partition content.
-
-    The reading word is decomposed into standard subwords by the circular
-    rule: take the rightmost 1, then for each next letter the first
-    occurrence strictly to the right of the current one, wrapping to the
-    leftmost occurrence when none remains; the charge is the sum of the
-    subword charges.  Pinned by: one-row tableaux of content rho have charge
-    n(rho), the superstandard tableau of any shape has charge 0, and the full
-    transition matrices match the brute-force symmetrization oracle.
-    """
-    word = list(reading_word(t))
-    content: dict[int, int] = {}
-    for v in word:
-        content[v] = content.get(v, 0) + 1
-    letters = sorted(content)
-    if letters != list(range(1, len(letters) + 1)) or any(
-        content[i] < content[i + 1] for i in range(1, len(letters))
-    ):
-        raise ValueError("charge requires partition content")
-
-    total = 0
-    alive = list(range(len(word)))
-    while alive:
-        max_letter = max(word[i] for i in alive)
-        chosen: list[int] = []
-        cursor = None
-        for letter in range(1, max_letter + 1):
-            cand = [i for i in alive if word[i] == letter and i not in chosen]
-            if cursor is None:
-                pick = max(cand)
-            else:
-                right = [i for i in cand if i > cursor]
-                pick = min(right) if right else min(cand)
-            chosen.append(pick)
-            cursor = pick
-        chosen_sorted = sorted(chosen)
-        total += _standard_charge([word[i] for i in chosen_sorted], chosen_sorted)
-        alive = [i for i in alive if i not in set(chosen)]
-    return total
+def z_coefficient(rho: Partition) -> int:
+    """z_rho = prod over parts i of i^(m_i) m_i!, the centralizer order in S_n."""
+    out = 1
+    for part in set(rho):
+        m = rho.count(part)
+        out *= part**m * factorial(m)
+    return out
 
 
 @lru_cache(maxsize=None)
-def _charges(shape: Partition, content: Partition) -> tuple[int, ...]:
-    return tuple(charge(t) for t in enumerate_ssyt(shape, content))
+def _rim_hooks(lam: Partition, r: int) -> tuple[tuple[int, Partition], ...]:
+    """(sign, mu) for every rim hook of r boxes removed from lam.
+
+    On the beta-set {lam_i + l - i} a rim hook is a bead moved from b down
+    to the empty position b - r; the sign is (-1) to the number of beads it
+    jumps (the hook's height).
+    """
+    size = len(lam)
+    beta = [part + size - 1 - i for i, part in enumerate(lam)]
+    occupied = set(beta)
+    out = []
+    for i, b in enumerate(beta):
+        c = b - r
+        if c < 0 or c in occupied:
+            continue
+        height = sum(1 for x in beta[i + 1:] if x > c)
+        moved = sorted(beta[:i] + [c] + beta[i + 1:], reverse=True)
+        mu = tuple(x - (size - 1 - k) for k, x in enumerate(moved))
+        out.append((-1 if height % 2 else 1, tuple(p for p in mu if p)))
+    return tuple(out)
 
 
-def kostka_foulkes_entry(shape: Partition, content: Partition, t: Rational) -> Fraction:
-    t = Fraction(t)
-    return sum((t**c for c in _charges(shape, content)), Fraction(0))
+@lru_cache(maxsize=None)
+def _character_column(rho: Partition) -> tuple[int, ...]:
+    """chi^lam_rho for every lam of |rho| in reverse-lex order, by
+    Murnaghan-Nakayama: strip a rim hook of rho_1 boxes in every way and
+    read the rest off the column of rho minus its first part."""
+    n = sum(rho)
+    if n == 0:
+        return (1,)
+    r = rho[0]
+    below = _character_column(rho[1:])
+    idx = partition_index(n - r)
+    return tuple(
+        sum(sign * below[idx[mu]] for sign, mu in _rim_hooks(lam, r))
+        for lam in enumerate_partitions(n)
+    )
+
+
+@lru_cache(maxsize=None)
+def character_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """The symmetric-group character table chi^lam_rho, rows lam, columns
+    rho, both in reverse-lex order (Macdonald I.7)."""
+    check_degree(n)
+    return tuple(zip(*(_character_column(rho) for rho in enumerate_partitions(n))))
+
+
+@lru_cache(maxsize=None)
+def _horizontal_strips(nu: Partition, r: int) -> tuple[Partition, ...]:
+    """Every lam with lam / nu a horizontal strip of r boxes: nu_i <= lam_i
+    <= nu_(i-1), with at most one new row."""
+    rows = nu + (0,)
+    out = []
+
+    def grow(i: int, left: int, prefix: tuple[int, ...]) -> None:
+        if i == len(rows):
+            if left == 0:
+                out.append(tuple(p for p in prefix if p))
+            return
+        room = left if i == 0 else min(left, rows[i - 1] - rows[i])
+        for add in range(room + 1):
+            grow(i + 1, left - add, prefix + (rows[i] + add,))
+
+    grow(0, r, ())
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _kostka_column(mu: Partition) -> dict[Partition, int]:
+    """K_{lam,mu} for every lam with a nonzero entry: the Schur expansion of
+    h_mu, one horizontal strip of mu_1 boxes (Pieri) on top of h_(mu_2, ...)."""
+    if not mu:
+        return {(): 1}
+    out: dict[Partition, int] = {}
+    for nu, k in _kostka_column(mu[1:]).items():
+        for lam in _horizontal_strips(nu, mu[0]):
+            out[lam] = out.get(lam, 0) + k
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -327,9 +351,110 @@ def kostka_numbers(n: int) -> tuple[tuple[int, ...], ...]:
     """The degree-n Kostka matrix K[lam][mu] in reverse-lex indexing."""
     check_degree(n)
     parts = enumerate_partitions(n)
-    return tuple(
-        tuple(kostka_number(lam, mu) for mu in parts) for lam in parts
-    )
+    cols = [_kostka_column(mu) for mu in parts]
+    return tuple(tuple(col.get(lam, 0) for col in cols) for lam in parts)
+
+
+@lru_cache(maxsize=None)
+def kostka_foulkes_polynomials(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """K_{lam,mu}(t) for all lam, mu of n: integer coefficients, constant
+    term first, () for zero; reverse-lex indexing, unit upper triangular.
+
+    Under the t-Hall inner product <p_rho, p_rho>_t = z_rho / prod_i
+    (1 - t^rho_i) the Schur functions have the Gram matrix
+    G_{lam,mu} = sum_rho chi^lam_rho chi^mu_rho / (z_rho prod_i (1 - t^rho_i)),
+    and since s_lam = sum_nu K_{lam,nu}(t) P_nu with <P_nu, P_nu>_t =
+    1 / b_nu(t), G = K D K^T with D = diag(1 / b_nu(t)) (Macdonald III.2,
+    III.4): K is the unit upper triangular factor of G, read off pivot by
+    pivot from the last index.  Times n! phi_n(t), phi_n = prod_{k<=n}
+    (1 - t^k), every entry of G and D is an integer polynomial, because
+    z_rho divides n! and prod_i (1 - t^rho_i) and b_nu both divide phi_n.
+
+    The factorisation runs once, in integers, at t = X = 2^B with 2^(B-1)
+    above the largest Kostka number f^lam = chi^lam_(1^n).  Each K_{lam,mu}(t)
+    has nonnegative coefficients summing to K_{lam,mu} < 2^(B-1), so its
+    value at X holds the coefficients as base-X digits.  Every pivot must
+    equal n! phi_n(X) / b_nu(X), every entry of K must divide out exactly,
+    and every digit must stay below 2^(B-1); otherwise ArithmeticError.
+    """
+    check_degree(n)
+    parts = enumerate_partitions(n)
+    size = len(parts)
+    chi = character_table(n)
+    width = max(row[-1] for row in chi).bit_length() + 1
+    x = 1 << width
+    b = [b_coefficient(lam, x).numerator for lam in parts]
+    scale = factorial(n) * b[-1]  # b of (1^n) is phi_n
+    weights = []
+    for rho in parts:
+        den = z_coefficient(rho)
+        for part in rho:
+            den *= 1 - x**part
+        weights.append(scale // den)
+    gram = []
+    for i in range(size):
+        scaled = [c * w for c, w in zip(chi[i], weights)]
+        gram.append([0] * i + [sum(map(mul, scaled, chi[j])) for j in range(i, size)])
+    packed = [[0] * size for _ in range(size)]
+    for k in range(size - 1, -1, -1):
+        pivot = gram[k][k]
+        if pivot != scale // b[k]:
+            raise ArithmeticError(f"Gram pivot of {parts[k]} at n={n} is not n! phi_n / b at t = 2^{width}")
+        packed[k][k] = 1
+        column = []
+        for i in range(k):
+            entry, rest = divmod(gram[i][k], pivot)
+            if rest:
+                raise ArithmeticError(f"Gram entry ({parts[i]}, {parts[k]}) at n={n} does not divide by its pivot")
+            if entry:
+                packed[i][k] = entry
+                column.append(i)
+        for i in column:
+            row, g = gram[i], gram[i][k]
+            for j in column:
+                if j >= i:
+                    row[j] -= g * packed[j][k]
+    mask, top = x - 1, 1 << (width - 1)
+
+    def unpack(i: int, j: int) -> tuple[int, ...]:
+        value, digits = packed[i][j], []
+        while value > 0:
+            digits.append(value & mask)
+            value >>= width
+        if value < 0 or any(d >= top for d in digits):
+            raise ArithmeticError(
+                f"Kostka-Foulkes entry ({parts[i]}, {parts[j]}) at n={n} has a digit outside [0, 2^{width - 1})"
+            )
+        return tuple(digits)
+
+    return tuple(tuple(unpack(i, j) for j in range(size)) for i in range(size))
+
+
+def _poly_values(polys, t: Fraction) -> tuple[tuple[Fraction, ...], ...]:
+    """Every integer polynomial of the matrix at the rational t, exactly."""
+    a, b = t.numerator, t.denominator
+    deg = max(len(c) for row in polys for c in row)
+    a_pow = [a**k for k in range(deg)]
+    b_pow = [b**k for k in range(deg)]
+
+    def at(coeffs) -> Fraction:
+        top = len(coeffs) - 1
+        num = sum(c * a_pow[k] * b_pow[top - k] for k, c in enumerate(coeffs) if c)
+        return Fraction(num, b_pow[top]) if coeffs else Fraction(0)
+
+    return tuple(tuple(at(c) for c in row) for row in polys)
+
+
+def kostka_foulkes_entry(shape: Partition, content: Partition, t: Rational) -> Fraction:
+    """K_{shape,content}(t) for partitions of the same size, read from
+    ``kostka_foulkes_polynomials``."""
+    shape, content = validate_partition(shape), validate_partition(content)
+    n = sum(shape)
+    if sum(content) != n:
+        raise ValueError("shape and content must have the same size")
+    idx = partition_index(n)
+    coeffs = kostka_foulkes_polynomials(n)[idx[shape]][idx[content]]
+    return _poly_values(((coeffs,),), Fraction(t))[0][0]
 
 
 CACHE_ENV_VAR = "HALLQ_CACHE_DIR"
@@ -418,10 +543,7 @@ def kostka_foulkes(n: int, t: Fraction) -> tuple[tuple[Fraction, ...], ...]:
     cached = _cache_load("kostka-foulkes", n, t)
     if cached is not None and _first_off_unit_upper(cached) is None:
         return cached
-    parts = enumerate_partitions(n)
-    rows = tuple(
-        tuple(kostka_foulkes_entry(lam, mu, t) for mu in parts) for lam in parts
-    )
+    rows = _poly_values(kostka_foulkes_polynomials(n), t)
     _cache_store("kostka-foulkes", n, t, rows)
     return rows
 
@@ -495,7 +617,9 @@ def s_in_m(n: int) -> tuple[tuple[Fraction, ...], ...]:
 
 @lru_cache(maxsize=None)
 def s_in_p(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    return _mat_mul(s_in_m(n), m_in_p(n))
+    """Rows: s_lam in power sums, chi^lam_rho / z_rho."""
+    z = [z_coefficient(rho) for rho in enumerate_partitions(n)]
+    return tuple(tuple(Fraction(c, zr) for c, zr in zip(row, z)) for row in character_table(n))
 
 
 def _mat_mul(a, b):
@@ -521,18 +645,18 @@ def b_coefficient(lam: Partition, t: Rational) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def hl_transition(n: int, t: Fraction) -> tuple:
-    """(P-in-monomial, Q-in-monomial, b coefficients) at degree n, rational t.
+def hl_p_in_p(n: int, t: Fraction) -> tuple[tuple[Fraction, ...], ...]:
+    """Rows: P_lam in power sums at degree n, rational t != 1.
 
-    Solves s = K(t) P by back substitution; K(t) is unit upper triangular in
-    the reverse-lex indexing, which is checked (``ArithmeticError``).
+    Solves s = K(t) P by back substitution on the rows of ``s_in_p``; K(t)
+    is unit upper triangular in the reverse-lex indexing, which is checked
+    (``ArithmeticError``).
     """
     check_degree(n)
     t = Fraction(t)
     if t == 1:
         raise ValueError("t = 1 not allowed (Q normalization degenerates)")
     parts = enumerate_partitions(n)
-    size = len(parts)
     K = kostka_foulkes(n, t)
     bad = _first_off_unit_upper(K)
     if bad is not None:
@@ -541,29 +665,39 @@ def hl_transition(n: int, t: Fraction) -> tuple:
             f"Kostka-Foulkes matrix at n={n}, t={t} is not unit upper triangular: "
             f"entry ({parts[i]}, {parts[j]}) is {K[i][j]}"
         )
-    S = s_in_m(n)
-    P = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(size - 1, -1, -1):
+    S = s_in_p(n)
+    P: list = [None] * len(parts)
+    for i in range(len(parts) - 1, -1, -1):
         row = list(S[i])
-        for j in range(i + 1, size):
-            if K[i][j]:
-                c = K[i][j]
+        for j in range(i + 1, len(parts)):
+            c = K[i][j]
+            if c:
                 row = [x - c * y for x, y in zip(row, P[j])]
-        P[i] = row
-    b = tuple(b_coefficient(lam, t) for lam in parts)
-    Q = tuple(tuple(b[i] * x for x in P[i]) for i in range(size))
-    return tuple(tuple(r) for r in P), Q, b
+        P[i] = tuple(row)
+    return tuple(P)
+
+
+@lru_cache(maxsize=None)
+def hl_transition(n: int, t: Fraction) -> tuple:
+    """(P-in-monomial, Q-in-monomial, b coefficients) at degree n, rational
+    t != 1: ``hl_p_in_p`` times ``p_in_m``, and Q_lam = b_lam(t) P_lam."""
+    P = _mat_mul(hl_p_in_p(n, t), p_in_m(n))
+    b = tuple(b_coefficient(lam, t) for lam in enumerate_partitions(n))
+    Q = tuple(tuple(bi * x for x in row) for bi, row in zip(b, P))
+    return P, Q, b
 
 
 @lru_cache(maxsize=None)
 def hl_q_in_p(n: int, t: Fraction) -> tuple[tuple[Fraction, ...], ...]:
-    """Q-in-powersum transition, disk-cached like the Kostka-Foulkes matrix."""
-    cached = _cache_load("hl-q-in-p", n, Fraction(t))
+    """Rows: Q_lam = b_lam(t) P_lam in power sums, disk-cached like the
+    Kostka-Foulkes matrix."""
+    t = Fraction(t)
+    cached = _cache_load("hl-q-in-p", n, t)
     if cached is not None:
         return cached
-    _, Q, _ = hl_transition(n, t)
-    rows = _mat_mul(Q, m_in_p(n))
-    _cache_store("hl-q-in-p", n, Fraction(t), rows)
+    b = [b_coefficient(lam, t) for lam in enumerate_partitions(n)]
+    rows = tuple(tuple(bi * x for x in row) for bi, row in zip(b, hl_p_in_p(n, t)))
+    _cache_store("hl-q-in-p", n, t, rows)
     return rows
 
 
@@ -614,10 +748,10 @@ def to_power_sums(f: SymFuncVec) -> SymFuncVec:
         mat = m_in_p(n)
     elif f.basis == "schur":
         mat = s_in_p(n)
-    elif f.basis in ("hlP", "hlQ"):
-        P, Q, _ = hl_transition(n, f.t)
-        base = P if f.basis == "hlP" else Q
-        mat = _mat_mul(base, m_in_p(n))
+    elif f.basis == "hlP":
+        mat = hl_p_in_p(n, f.t)
+    elif f.basis == "hlQ":
+        mat = hl_q_in_p(n, f.t)
     out = [Fraction(0)] * len(parts)
     for lam, c in f.coeffs:
         row = mat[idx[lam]]

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from hallq import measures
-from hallq.cli import main, parse_class_type
+from hallq.cli import _rational, main, parse_class_type
 from hallq.partitions import conjugate, covers_up
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -394,6 +394,24 @@ class TestUsageErrors:
     def test_output_path_is_a_directory(self, capsys, tmp_path):
         argv = ["cylinder", "--spec", str(SPECS / "haar.spec"), "--q", "2", "--rho", "1", "--out", str(tmp_path)]
         assert_usage_error(argv, capsys)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kostka-foulkes", "--n", "2", "--t", "1e1000000"],
+            ["kostka-foulkes", "--n", "2", "--t", "1/" + "7" * 4301],
+            ["cylinder", "--spec", str(SPECS / "haar.spec"), "--q", "2e-4300", "--rho", "1"],
+        ],
+    )
+    def test_oversized_rational(self, capsys, argv):
+        # refused from the text, before a 10^1000000 is built or printed
+        text = argv[argv.index("--t" if "--t" in argv else "--q") + 1]
+        err = assert_usage_error(argv, capsys)
+        assert err == f"error: rational input {text[:40]!r} would have more than 4300 digits\n"
+
+    def test_rational_at_the_digit_bound(self, capsys):
+        assert _rational("1e4299") == 10**4299
+        assert _rational("-" + "9" * 4300 + "/" + "7" * 4300) == -Fraction(int("9" * 4300), int("7" * 4300))
 
     def test_character_at_q_zero(self, capsys):
         argv = ["character", "--kind", "unipotent", "--label", "1", "--class", "1", "--q", "0"]

@@ -326,6 +326,15 @@ class TestExtensions:
         assert extend_type(mat_from_rows([[1]], 2), (0,)) == (1, 1)
         assert extend_type(mat_from_rows([[1]], 2), (1,)) == (2,)
 
+    def test_extend_matrix_checks_the_new_column(self):
+        u = canonical_unipotent((2, 1), 3)
+        assert extend_matrix(u, (2, 1, 0)) == mat_from_rows([[1, 1, 0, 2], [0, 1, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1]], 3)
+        for b in ((0, 3, 0), (0, -1, 0), (0, 1), (0, 1, 0, 0)):
+            with pytest.raises(ValueError):
+                extend_matrix(u, b)
+        with pytest.raises(ValueError):
+            extend_matrix(mat_from_rows([[1, 0]], 3), (0,))
+
     @pytest.mark.parametrize("q,n_max", [(2, 6), (3, 4)])
     def test_support_and_total(self, q, n_max):
         for n in range(0, n_max + 1):

@@ -11,18 +11,16 @@ from hallq.partitions import (
     covers_up,
     dominates,
     enumerate_partitions,
-    enumerate_ssyt,
     format_partition,
     gaussian_binomial,
     gaussian_binomial_poly,
     gaussian_multinomial,
     hook_lengths,
-    kostka_number,
     n_stat,
     parse_partition,
     partition_count,
-    tableau_is_semistandard,
 )
+from hallq.hloracle import enumerate_ssyt, kostka_number, tableau_is_semistandard
 
 
 def partitions_up_to(n_max):

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hallq import symfun
+from hallq.hloracle import charge, charge_kostka_foulkes
 from hallq.partitions import enumerate_partitions, n_stat, partition_index
 from hallq.symfun import (
     GroundParams,
@@ -18,7 +19,6 @@ from hallq.symfun import (
     ThomaSpec,
     b_coefficient,
     basis_vec,
-    charge,
     evaluate,
     geometric_merge,
     geometric_merge_beta,
@@ -293,8 +293,12 @@ class TestDiskCache:
         kostka_foulkes.cache_clear()
 
     def reference(self):
+        # from the charge referee, so that it never calls the builder
         parts = enumerate_partitions(self.N)
-        return tuple(tuple(kostka_foulkes_entry(lam, mu, HALF) for mu in parts) for lam in parts)
+        return tuple(
+            tuple(sum((c * HALF**k for k, c in enumerate(charge_kostka_foulkes(lam, mu))), F(0)) for mu in parts)
+            for lam in parts
+        )
 
     def write(self, doc):
         path = symfun._cache_path("kostka-foulkes", self.N, HALF)
@@ -310,7 +314,7 @@ class TestDiskCache:
         rows = kostka_foulkes(self.N, HALF)
         assert [p.name for p in cache_dir.iterdir()] == [f"kostka-foulkes-n{self.N}-t1_2.json"]
         kostka_foulkes.cache_clear()
-        monkeypatch.setattr(symfun, "kostka_foulkes_entry", lambda *args: pytest.fail("recomputed"))
+        monkeypatch.setattr(symfun, "kostka_foulkes_polynomials", lambda *args: pytest.fail("recomputed"))
         assert kostka_foulkes(self.N, HALF) == rows == self.reference()
 
     @pytest.mark.parametrize("text", ["", "{not json", "[]", '{"format": 1}'])
@@ -337,6 +341,30 @@ class TestDiskCache:
     def test_wrong_shape_is_a_miss(self, cache_dir):
         self.write(self.doc([[F(1)]]))
         assert kostka_foulkes(self.N, HALF) == self.reference()
+
+    def test_concurrent_writers(self, cache_dir):
+        # two processes store and re-read the same key at once: every read
+        # sees a whole file, and no temporary file is left behind
+        code = textwrap.dedent(f"""
+            import sys
+            from fractions import Fraction
+            from hallq import symfun
+            t = Fraction(1, 2)
+            rows = symfun.kostka_foulkes({self.N}, t)
+            for _ in range(300):
+                symfun._cache_store("kostka-foulkes", {self.N}, t, rows)
+                if symfun._cache_load("kostka-foulkes", {self.N}, t) != rows:
+                    sys.exit("torn read")
+        """)
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), symfun.CACHE_ENV_VAR: str(cache_dir)}
+        procs = [subprocess.Popen([sys.executable, "-c", code], env=env, stderr=subprocess.PIPE, text=True)
+                 for _ in range(2)]
+        for proc in procs:
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+        assert [p.name for p in cache_dir.iterdir()] == [f"kostka-foulkes-n{self.N}-t1_2.json"]
+        assert symfun._cache_load("kostka-foulkes", self.N, HALF) == self.reference()
 
 
 def test_non_triangular_kostka_foulkes_raises_under_optimize():

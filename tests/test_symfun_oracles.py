@@ -1,29 +1,45 @@
 """Independent oracles for the symmetric-function engine.
 
-The charge-based transition matrices are checked against brute-force
-symmetrization; evaluation through power sums is checked against truncated
-direct evaluation of the monomial expansion and against the hook expansion
-of two-alphabet Schur functions.
+The transition layer (Murnaghan-Nakayama characters, Pieri Kostka numbers,
+Kostka-Foulkes polynomials from the Gram factorisation) is checked against
+the tableau referees of ``hloracle``: semistandard tableau counts, the
+charge statistic and brute-force symmetrization.  Evaluation through power
+sums is checked against truncated direct evaluation of the monomial
+expansion and against the hook expansion of two-alphabet Schur functions.
 """
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
-from hallq.hloracle import hl_p_in_monomial_brute
+from hallq import symfun
+from hallq.hloracle import charge_kostka_foulkes, hl_p_in_monomial_brute, kostka_number
 from hallq.partitions import conjugate, enumerate_partitions
 from hallq.symfun import (
     SpecEntry,
     ThomaSpec,
+    b_coefficient,
     basis_vec,
     evaluate,
     hl_transition,
+    kostka_foulkes,
+    kostka_foulkes_entry,
+    kostka_foulkes_polynomials,
+    kostka_numbers,
+    m_in_p,
     monomial_values,
     power_values,
     s_in_m,
+    s_in_p,
     schur_values,
+    to_power_sums,
 )
 
 HALF = F(1, 2)
@@ -41,6 +57,79 @@ def test_hl_transition_matches_symmetrization_small(t):
 def test_hl_transition_matches_symmetrization_degree5(t):
     P, _, _ = hl_transition(5, t)
     assert P == hl_p_in_monomial_brute(5, t)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_gram_polynomials_match_charge(n):
+    parts = enumerate_partitions(n)
+    polys = kostka_foulkes_polynomials(n)
+    for i, lam in enumerate(parts):
+        for j, mu in enumerate(parts):
+            assert polys[i][j] == charge_kostka_foulkes(lam, mu), (lam, mu)
+
+
+@pytest.mark.parametrize("t", [F(0), F(1), F(-1), HALF, THIRD, F(2), F(5, 7)])
+def test_kostka_foulkes_matches_charge_at_t(t):
+    for n in range(9):
+        parts = enumerate_partitions(n)
+        want = tuple(
+            tuple(sum((c * t**k for k, c in enumerate(charge_kostka_foulkes(lam, mu))), F(0)) for mu in parts)
+            for lam in parts
+        )
+        assert kostka_foulkes(n, t) == want
+        assert kostka_foulkes_entry(parts[0], parts[-1], t) == want[0][-1]
+
+
+def test_murnaghan_nakayama_s_in_p_matches_monomial_route():
+    # s = K m with K counted from tableaux, then m in power sums
+    for n in range(10):
+        parts = enumerate_partitions(n)
+        M = m_in_p(n)
+        for lam, row in zip(parts, s_in_p(n)):
+            k = [kostka_number(lam, mu) for mu in parts]
+            assert row == tuple(sum((c * M[j][r] for j, c in enumerate(k) if c), F(0)) for r in range(len(parts)))
+
+
+def test_strip_kostka_numbers_match_tableau_counts():
+    for n in range(10):
+        parts = enumerate_partitions(n)
+        assert kostka_numbers(n) == tuple(tuple(kostka_number(lam, mu) for mu in parts) for lam in parts)
+        assert s_in_m(n) == tuple(tuple(F(x) for x in row) for row in kostka_numbers(n))
+
+
+def test_corrupted_gram_pivot_raises_under_optimize():
+    # the pivot check must not be an assert that python -O strips
+    code = textwrap.dedent("""
+        from hallq import symfun
+        assert False, "asserts are live: not running under -O"
+        table = [list(row) for row in symfun.character_table(3)]
+        table[-1][0] *= 2
+        symfun.character_table = lambda n: table
+        try:
+            symfun.kostka_foulkes_polynomials(3)
+        except ArithmeticError as exc:
+            print("raised:", exc)
+    """)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "raised: Gram pivot of (1, 1, 1) at n=3 is not n! phi_n / b at t = 2^3\n", done.stdout
+
+
+@pytest.mark.parametrize("t", [HALF, THIRD])
+def test_hl_power_sum_rows_match_symmetrization(t):
+    # P and Q in power sums, as to_power_sums reads them, against the
+    # symmetrized P in monomials times m_in_p
+    for n in range(1, 5):
+        parts = enumerate_partitions(n)
+        brute, M = hl_p_in_monomial_brute(n, t), m_in_p(n)
+        for i, lam in enumerate(parts):
+            want = [sum((brute[i][j] * M[j][r] for j in range(len(parts))), F(0)) for r in range(len(parts))]
+            for basis, scale in (("hlP", 1), ("hlQ", b_coefficient(lam, t))):
+                got = to_power_sums(basis_vec(basis, lam, t)).coeff_map()
+                assert [got.get(rho, F(0)) for rho in parts] == [scale * x for x in want], (basis, lam)
 
 
 def _monomial_direct(mu, xs):
