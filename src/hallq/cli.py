@@ -14,19 +14,45 @@ import json
 import sys
 import time
 from fractions import Fraction
+from math import log10
 
 from . import __version__, characters, gflinalg, grassmann, ipfamily, measures, sampler, symfun
 from .partitions import conjugate, enumerate_partitions, format_partition, gaussian_binomial, parse_partition
 from .symfun import GroundParams, ThomaSpec, load_spec
 
 
+# Python's default limit on the digits of an int written as text: a larger
+# numerator or denominator could not be printed in the output.
+MAX_RATIONAL_DIGITS = 4300
+
+
 def _frac(x: Fraction) -> str:
-    return str(Fraction(x))
+    """x as "num/den" text; ValueError if a side has more than
+    MAX_RATIONAL_DIGITS digits."""
+    x = Fraction(x)
+    try:
+        return str(x)
+    except ValueError:
+        raise ValueError(f"output value of {_size(x)} is over the {MAX_RATIONAL_DIGITS}-digit limit "
+                         "on printed rationals") from None
+
+
+def _decimal(x: Fraction) -> float:
+    """The float annotation of x; ValueError if x is beyond the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"output value of {_size(x)} is beyond the float range of its decimal annotation") from None
+
+
+def _size(x: Fraction) -> str:
+    x = Fraction(x)
+    bits = max(x.numerator.bit_length(), x.denominator.bit_length())
+    return f"about {round(bits * log10(2))} digits"
 
 
 def _frac_pair(x: Fraction) -> dict:
-    x = Fraction(x)
-    return {"value": str(x), "decimal": float(x)}
+    return {"value": _frac(x), "decimal": _decimal(x)}
 
 
 def parse_class_type(text: str) -> dict:
@@ -43,11 +69,6 @@ def parse_class_type(text: str) -> dict:
             raise ValueError(f"class type needs poly:partition pairs with distinct polys, got {chunk!r}")
         out[poly] = parse_partition(part_text)
     return out
-
-
-# Python's default limit on the digits of an int written as text: a larger
-# numerator or denominator could not be printed in the output.
-MAX_RATIONAL_DIGITS = 4300
 
 
 def _rational(text: str) -> Fraction:
@@ -140,9 +161,9 @@ def cmd_cylinder(args) -> tuple[dict, bool]:
         "rho": format_partition(rho),
         "q": _frac(ground.q),
         "convention": args.convention,
-        "value_num": str(value.numerator),
-        "value_den": str(value.denominator),
-        "decimal": float(value),
+        "value_num": _frac(value.numerator),
+        "value_den": _frac(value.denominator),
+        "decimal": _decimal(value),
         "checks": {"two_route_equal": ok},
     }, ok
 

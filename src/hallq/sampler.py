@@ -18,7 +18,22 @@ Three engines:
 
 Randomness is a counter-based deterministic generator: block i of the stream
 for (trial, step) is blake2b(key = seed as 8 little-endian bytes,
-data = trial || step || i, each 8 little-endian bytes, digest 64 bytes).
+data = trial || step || i, each 8 little-endian bytes, digest 64 bytes), and
+the stream is block 0 || block 1 || ...  Its draws, digit by digit:
+
+* bits are read least significant first within each byte, so bit k of the
+  stream is bit k of the little-endian integer of the concatenated blocks;
+* the base-q digits are those bits at q = 2; for q > 2 each byte below
+  floor(256/q)*q gives the digit byte mod q, and larger bytes are skipped;
+* ``leading_zero_count(q, cap)`` is min(number of leading zero base-q
+  digits, cap);
+* ``uniform_below(bound)`` cuts the bits into chunks of
+  b = max(1, (bound-1).bit_length()) bits, each read as a b-bit integer
+  (first bit lowest), and returns the first chunk below bound, rejecting
+  whole chunks;
+* ``uniform_vector(n, q)`` is the first n base-q digits, as the entries of
+  a vector of F_q^n.
+
 Identical (seed, trial, step) always yields identical draws, so trials may
 be partitioned across workers in any way without changing results.
 """
@@ -27,9 +42,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
 from math import lcm, sqrt
 from operator import neg
 from typing import Optional
@@ -40,73 +57,83 @@ from .partitions import Partition, conjugate, covers_up, validate_partition
 from .symfun import SpecEntry, ThomaSpec
 
 
+# the data of block i of the stream for (trial, step): trial || step || i
+_COUNTERS = struct.Struct("<3Q")
+
+
 class CounterRng:
-    """Deterministic keyed stream; see the module docstring for the exact
-    byte-level definition."""
+    """Deterministic keyed stream; see the module docstring for its exact
+    definition.  Every draw works on whole blocks."""
 
     def __init__(self, seed: int):
         self.seed = seed
-        self._key = seed.to_bytes(8, "little", signed=False)
+        self._keyed = hashlib.blake2b(key=seed.to_bytes(8, "little"), digest_size=64)
 
     def block(self, trial: int, step: int, index: int) -> bytes:
-        data = (
-            trial.to_bytes(8, "little")
-            + step.to_bytes(8, "little")
-            + index.to_bytes(8, "little")
-        )
-        return hashlib.blake2b(data, key=self._key, digest_size=64).digest()
-
-    def byte_stream(self, trial: int, step: int):
-        index = 0
-        while True:
-            for b in self.block(trial, step, index):
-                yield b
-            index += 1
-
-    def bit_stream(self, trial: int, step: int):
-        for byte in self.byte_stream(trial, step):
-            for k in range(8):
-                yield (byte >> k) & 1
-
-    def digit_stream(self, trial: int, step: int, q: int):
-        """Uniform base-q digits by byte rejection."""
-        if q == 2:
-            yield from self.bit_stream(trial, step)
-            return
-        limit = (256 // q) * q
-        for byte in self.byte_stream(trial, step):
-            if byte < limit:
-                yield byte % q
+        """Block ``index`` of the stream for (trial, step): the keyed state,
+        copied, over the counters.  OverflowError unless each counter lies
+        in [0, 2^64)."""
+        try:
+            data = _COUNTERS.pack(trial, step, index)
+        except struct.error:
+            raise OverflowError(f"stream counters must lie in [0, 2^64), got {(trial, step, index)}") from None
+        h = self._keyed.copy()
+        h.update(data)
+        return h.digest()
 
     def leading_zero_count(self, trial: int, step: int, q: int, cap: int) -> int:
-        """Number of leading zero digits of the base-q stream, capped."""
+        """Number of leading zero digits of the base-q stream, capped at
+        cap >= 0."""
         z = 0
-        for d in self.digit_stream(trial, step, q):
-            if d or z >= cap:
-                return z
-            z += 1
-        raise AssertionError("unreachable")
+        if q == 2:  # the trailing zero bits of the first nonzero byte end the run
+            for index in count():
+                for byte in self.block(trial, step, index):
+                    if byte:
+                        z += (byte & -byte).bit_length() - 1
+                        return z if z < cap else cap
+                    z += 8
+                if z >= cap:
+                    return cap
+        limit = (256 // q) * q
+        for index in count():
+            for byte in self.block(trial, step, index):
+                if byte < limit:
+                    if byte % q or z >= cap:
+                        return z
+                    z += 1
 
     def uniform_below(self, trial: int, step: int, bound: int) -> int:
-        """Uniform integer in [0, bound) by bit rejection."""
+        """Uniform integer in [0, bound): successive chunks of
+        (bound - 1).bit_length() bits of the stream, the first below bound."""
         if bound <= 0:
             raise ValueError("bound must be positive")
         bits = (bound - 1).bit_length() or 1
-        acc = 0
-        have = 0
-        for bit in self.bit_stream(trial, step):
-            acc |= bit << have
-            have += 1
-            if have == bits:
-                if acc < bound:
-                    return acc
-                acc = 0
-                have = 0
-        raise AssertionError("unreachable")
+        mask = (1 << bits) - 1
+        x = have = index = 0
+        while True:
+            while have < bits:
+                x |= int.from_bytes(self.block(trial, step, index), "little") << have
+                have += 512
+                index += 1
+            draw = x & mask
+            if draw < bound:
+                return draw
+            x >>= bits
+            have -= bits
 
-    def uniform_vector(self, trial: int, step: int, n: int, q: int) -> tuple[int, ...]:
-        gen = self.digit_stream(trial, step, q)
-        return tuple(next(gen) for _ in range(n))
+    def uniform_vector(self, trial: int, step: int, n: int, q: int):
+        """The first n base-q digits of the stream as a vector of F_q^n, in
+        ``gflinalg.pack`` form."""
+        if q == 2:
+            blocks = b"".join(self.block(trial, step, i) for i in range(-(-n // 512)))
+            return int.from_bytes(blocks, "little") & ((1 << n) - 1)
+        limit = (256 // q) * q
+        digits: list[int] = []
+        index = 0
+        while len(digits) < n:
+            digits += [byte % q for byte in self.block(trial, step, index) if byte < limit]
+            index += 1
+        return gflinalg.pack(digits[:n], q)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +184,7 @@ def matrix_haar_step(state: MatrixGrowthState, rng: CounterRng, trial: int, step
     compared, as an exact revalidation of the incremental updates.
     """
     q, xi, images = state.q, state.xi, state.images
-    b = gflinalg.pack(rng.uniform_vector(trial, step, len(xi), q), q)
+    b = rng.uniform_vector(trial, step, len(xi), q)
     powers = []  # b, xi b, xi^2 b, ... while nonzero
     v = b
     while v:

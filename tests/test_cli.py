@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -160,6 +161,28 @@ class TestLln:
         doc = json.loads(out.read_text())
         assert doc["result"]["gate"]["ok"] is True
         assert csv.read_text().startswith("trial,n,k,row_over_n,col_over_n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lln", "--mode", "haar", "--engine", "chain", "--q", "3", "--n", "150", "--trials", "5"],
+            ["lln", "--mode", "haar", "--engine", "matrix", "--q", "2", "--n", "40", "--trials", "3"],
+            ["lln", "--mode", "measure", "--spec", str(SPECS / "two_thirds.spec"), "--q", "2", "--n", "8",
+             "--trials", "4"],
+        ],
+        ids=["chain", "matrix", "measure"],
+    )
+    def test_two_workers_match_one(self, tmp_path, argv):
+        # same bytes apart from the run time and the manifest's record of the flag itself
+        out, csv = tmp_path / "report.json", tmp_path / "traj.csv"
+        runs = []
+        for threads in ("1", "2"):
+            code = main(["--threads", threads, *argv, "--seed", "7", "--out", str(out), "--csv", str(csv)])
+            text = re.sub(r'"timing_s": .*', '"timing_s": masked', out.read_text())
+            text = text.replace(f'"threads": {threads}', '"threads": masked')
+            runs.append((code, text, csv.read_bytes()))
+        assert runs[0] == runs[1]
+        assert '"timing_s": masked' in runs[0][1] and '"threads": masked' in runs[0][1]
 
     def test_measure_mode(self, capsys):
         code, doc = run_cli(
@@ -408,6 +431,21 @@ class TestUsageErrors:
         text = argv[argv.index("--t" if "--t" in argv else "--q") + 1]
         err = assert_usage_error(argv, capsys)
         assert err == f"error: rational input {text[:40]!r} would have more than 4300 digits\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["kostka-foulkes", "--n", "3", "--t", "1e2000"],  # the entry t^3 has 6001 digits
+             "error: output value of about 6000 digits is over the 4300-digit limit on printed rationals\n"),
+            (["cylinder", "--spec", str(SPECS / "haar.spec"), "--q", "1e1500", "--rho", "2,1"],
+             "error: output value of about 4500 digits is over the 4300-digit limit on printed rationals\n"),
+            (["character", "--kind", "unipotent", "--label", "1,1,1", "--class", "1,1,1", "--q", "1e300"],
+             "error: output value of about 900 digits is beyond the float range of its decimal annotation\n"),
+        ],
+    )
+    def test_oversized_output(self, capsys, argv, message):
+        # the inputs pass the 4300-digit bound; the exact outputs they lead to do not fit
+        assert assert_usage_error(argv, capsys) == message
 
     def test_rational_at_the_digit_bound(self, capsys):
         assert _rational("1e4299") == 10**4299

@@ -1,9 +1,11 @@
 import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
 import textwrap
 from fractions import Fraction as F
+from itertools import count
 from pathlib import Path
 
 import pytest
@@ -57,14 +59,149 @@ class TestRng:
 
     def test_uniform_vector(self):
         rng = CounterRng(7)
-        v = rng.uniform_vector(0, 1, 20, 3)
-        assert len(v) == 20 and all(0 <= x < 3 for x in v)
+        v = rng.uniform_vector(0, 1, 20, 3)  # packed: trailing zeros dropped
+        assert len(v) <= 20 and all(0 <= x < 3 for x in v)
+        assert 0 <= rng.uniform_vector(0, 1, 20, 2) < 2**20
 
     def test_leading_zero_counts_distribution(self):
         rng = CounterRng(11)
         counts = [rng.leading_zero_count(0, step, 2, 30) for step in range(4000)]
         frac0 = sum(1 for c in counts if c == 0) / len(counts)
         assert abs(frac0 - 0.5) < 0.05  # geometric(1/2)
+
+
+# ---------------------------------------------------------------------------
+# the stream, byte by byte, as the sampler module docstring defines it
+# ---------------------------------------------------------------------------
+
+
+def _one_shot_block(seed, trial, step, index):
+    data = b"".join(x.to_bytes(8, "little") for x in (trial, step, index))
+    return hashlib.blake2b(data, key=seed.to_bytes(8, "little"), digest_size=64).digest()
+
+
+def _ref_digits(block, trial, step, q):
+    """Base-q digits: bits low first at q = 2, else bytes below the largest
+    multiple of q taken mod q."""
+    limit = (256 // q) * q
+    for index in count():
+        for byte in block(trial, step, index):
+            if q == 2:
+                for k in range(8):
+                    yield (byte >> k) & 1
+            elif byte < limit:
+                yield byte % q
+
+
+def _ref_leading_zero_count(block, trial, step, q, cap):
+    z = 0
+    for d in _ref_digits(block, trial, step, q):
+        if d or z >= cap:
+            return z
+        z += 1
+
+
+def _ref_uniform_below(block, trial, step, bound):
+    bits = (bound - 1).bit_length() or 1
+    digits = _ref_digits(block, trial, step, 2)
+    while True:
+        chunk = sum(next(digits) << k for k in range(bits))
+        if chunk < bound:
+            return chunk
+
+
+def _ref_uniform_vector(block, trial, step, n, q):
+    digits = _ref_digits(block, trial, step, q)
+    return gflinalg.pack([next(digits) for _ in range(n)], q)
+
+
+REF_SEEDS = (0, 7, 2**63 + 5, 2**64 - 1)
+REF_QS = (2, 3, 4, 5, 7, 8, 9, 16, 256)
+REF_CAPS = (0, 1, 3, 700)
+REF_BOUNDS = (1, 2, 13, 2**64 + 1, 2**700 + 3)
+REF_LENGTHS = (0, 1, 7, 8, 9, 511, 512, 513, 1100)
+
+
+def _draws_match_referee(rng, block, steps, caps=REF_CAPS):
+    for step in steps:
+        for q in REF_QS:
+            for cap in caps:
+                assert rng.leading_zero_count(3, step, q, cap) == _ref_leading_zero_count(block, 3, step, q, cap)
+            for n in REF_LENGTHS:
+                assert rng.uniform_vector(4, step, n, q) == _ref_uniform_vector(block, 4, step, n, q)
+        for bound in REF_BOUNDS:
+            assert rng.uniform_below(5, step, bound) == _ref_uniform_below(block, 5, step, bound)
+
+
+# blake2b digests of the first draws of each method at GOLDEN_SEED, recorded
+# from the byte-at-a-time generators that the block-level draws replaced, so
+# that the stream cannot drift unseen
+GOLDEN_SEED = 0x9E3779B97F4A7C15
+GOLDEN = {
+    "leading_zero_count": "b5c2f13fb3debb91fececc8242d40523",
+    "uniform_below": "f597f59145b25719e748cc0ae3acf030",
+    "uniform_vector": "ebc9c32582c7860bdda99a51fdeb2f43",
+}
+
+
+def _golden_draws(rng) -> dict:
+    """The pinned draws of each method, as lists."""
+    return {
+        "leading_zero_count": [
+            rng.leading_zero_count(1, step, q, 40) for step in range(1500) for q in (2, 3)
+        ],
+        "uniform_below": [
+            rng.uniform_below(2, step, bound) for step in range(1000) for bound in (13, 2**64 + 1, 2**700 + 3)
+        ],
+        "uniform_vector": [
+            rng.uniform_vector(3, step, step * 37 % 1101, (2, 3, 4)[step % 3]) for step in range(2000)
+        ],
+    }
+
+
+def _draw_digest(draws) -> str:
+    return hashlib.blake2b("\n".join(map(repr, draws)).encode(), digest_size=16).hexdigest()
+
+
+class TestStreamReferee:
+    """Every draw equals the byte-level definition of the stream."""
+
+    @pytest.mark.parametrize("seed", REF_SEEDS)
+    def test_blocks_are_the_documented_digest(self, seed):
+        rng = CounterRng(seed)
+        for trial, step, index in ((0, 0, 0), (1, 2, 3), (2**64 - 1, 5, 1), (7, 2**64 - 1, 2**64 - 1)):
+            assert rng.block(trial, step, index) == _one_shot_block(seed, trial, step, index)
+
+    @pytest.mark.parametrize("counter", [2**64, -1])
+    def test_counters_outside_64_bits_overflow(self, counter):
+        rng = CounterRng(1)
+        for args in ((counter, 0, 0), (0, counter, 0), (0, 0, counter)):
+            with pytest.raises(OverflowError):
+                rng.block(*args)
+
+    @pytest.mark.parametrize("seed", REF_SEEDS)
+    def test_draws_match_the_byte_level_definition(self, seed):
+        rng = CounterRng(seed)
+        _draws_match_referee(rng, rng.block, range(4))
+
+    @pytest.mark.parametrize("kind", ["zero", "rejected"])
+    def test_draws_cross_blocks(self, monkeypatch, kind):
+        # the first two blocks of every stream are all zero bytes, or all
+        # 255, which every q in REF_QS with 256 % q != 0 rejects and which
+        # makes every chunk of uniform_below all ones
+        rng = CounterRng(2**63 + 5)
+        real = rng.block
+        filler = bytes(64) if kind == "zero" else bytes([255]) * 64
+
+        def block(trial, step, index):
+            return filler if index < 2 else real(trial, step, index)
+
+        monkeypatch.setattr(rng, "block", block)
+        _draws_match_referee(rng, block, range(3), caps=REF_CAPS + (1500,))
+
+    def test_golden_draws(self):
+        draws = _golden_draws(CounterRng(GOLDEN_SEED))
+        assert {name: _draw_digest(d) for name, d in draws.items()} == GOLDEN
 
 
 def _linear_chain_step(cols, z):
