@@ -10,7 +10,11 @@ Jordan types, primary partitions and the sampler's explicit-matrix engine
 share one span kernel for every q: packed vectors (an int bitmask at q = 2,
 an entry tuple without trailing zeros otherwise), ``combine`` for x·v from
 the packed columns of x, the incremental echelon basis ``Span``, and
-``image_filtration`` for the images of the powers of x.
+``image_filtration`` for the images of the powers of x.  The brute-force
+oracles (``extension_counts``, ``count_unitriangular_by_type``) classify the
+packed columns of x = u - I with ``nilpotent_type``: each column b of an
+extension is taken in packed form and each matrix of the census is a tuple
+of packed columns, so no ``MatGF`` is built per column or per matrix.
 """
 
 from __future__ import annotations
@@ -598,16 +602,23 @@ class NotUnipotentError(ValueError):
     pass
 
 
-def jordan_type_unipotent(u: MatGF) -> Partition:
-    """Jordan type of a unipotent matrix (blocks for eigenvalue 1).
+def nilpotent_type(cols, q: int) -> Partition:
+    """Jordan type of the nilpotent matrix x with packed columns cols.
 
-    Read off the ranks of the powers of u - I.  Its rows are packed as the
-    columns of the transpose, whose powers have the same ranks.
+    Read off the ranks of the powers of x, which ``image_filtration`` gives;
+    raises ``NotUnipotentError`` when they do not fall to zero.
     """
-    ranks = [u.n_rows] + [span.dim for span in image_filtration(_pack_rows(u, 1), u.q)]
+    ranks = [len(cols)] + [span.dim for span in image_filtration(cols, q)]
     if ranks[-1]:
-        raise NotUnipotentError("matrix is not unipotent")
+        raise NotUnipotentError("matrix is not unipotent: u - I is not nilpotent")
     return _type_from_ranks(ranks)
+
+
+def jordan_type_unipotent(u: MatGF) -> Partition:
+    """Jordan type of a unipotent matrix (blocks for eigenvalue 1): the type
+    of u - I.  Its rows are packed as the columns of the transpose, which
+    has the same type."""
+    return nilpotent_type(_pack_rows(u, 1), u.q)
 
 
 def _type_from_ranks(ranks, d: int = 1) -> Partition:
@@ -667,21 +678,26 @@ def class_type_key(ct: dict[tuple[int, ...], Partition]) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def extend_matrix(u: MatGF, b: tuple[int, ...]) -> MatGF:
-    """[[u, b], [0, 1]] for a square u.  Only the new column b is validated:
-    the entries of u were checked when u was built."""
-    n = u.n_rows
-    if u.n_cols != n or len(b) != n or any(not 0 <= x < u.q for x in b):
-        raise ValueError("extend_matrix needs a square matrix and one field entry per row")
-    out = object.__new__(MatGF)  # skips MatGF.__post_init__, which would re-check u
-    object.__setattr__(out, "rows", tuple(row + (x,) for row, x in zip(u.rows, b)) + ((0,) * n + (1,),))
-    object.__setattr__(out, "q", u.q)
-    return out
+def _xi_columns(u: MatGF) -> list:
+    """Packed columns of x = u - I for a square u."""
+    return _pack_rows(MatGF(tuple(zip(*u.rows)), u.q), 1)
+
+
+def _packed_vectors(n: int, q: int):
+    """Every vector of F_q^n, packed: the ints below 2^n at q = 2."""
+    if q == 2:
+        return range(1 << n)
+    return [poly_trim(v) for v in product(range(q), repeat=n)]
 
 
 def extend_type(u: MatGF, b: tuple[int, ...]) -> Partition:
-    """Jordan type of the one-column unitriangular extension."""
-    return jordan_type_unipotent(extend_matrix(u, b))
+    """Jordan type of the one-column unitriangular extension [[u, b], [0, 1]]
+    of a square u: the type of [[u - I, b], [0, 0]], whose packed columns
+    are those of u - I and then b."""
+    n = u.n_rows
+    if u.n_cols != n or len(b) != n or any(not 0 <= x < u.q for x in b):
+        raise ValueError("extend_type needs a square matrix and one field entry per row")
+    return nilpotent_type(_xi_columns(u) + [pack(b, u.q)], u.q)
 
 
 def canonical_unipotent(rho: Partition, q: int) -> MatGF:
@@ -699,23 +715,19 @@ def canonical_unipotent(rho: Partition, q: int) -> MatGF:
     return block_diag(blocks, q)
 
 
-def _all_vectors(n: int, q: int):
-    return product(range(q), repeat=n)
-
-
 def extension_counts(rho: Partition, q: int) -> dict[Partition, int]:
     """Brute-force census of extension types over all q^n columns.
 
-    Works on the canonical matrix of type rho; each column goes through the
-    full matrix-level Jordan computation, so this is the independent oracle
-    for the closed-form counts.
+    Works on the packed columns of x = u - I for the canonical matrix u of
+    type rho; each column b goes through a fresh Jordan computation of the
+    whole matrix [[x, b], [0, 0]], so this is the independent oracle for the
+    closed-form counts.
     """
     rho = validate_partition(rho)
-    n = sum(rho)
-    u = canonical_unipotent(rho, q)
+    xi = _xi_columns(canonical_unipotent(rho, q))
     counts: dict[Partition, int] = {}
-    for b in _all_vectors(n, q):
-        sigma = extend_type(u, b)
+    for b in _packed_vectors(len(xi), q):
+        sigma = nilpotent_type(xi + [b], q)
         counts[sigma] = counts.get(sigma, 0) + 1
     return counts
 
@@ -802,7 +814,7 @@ VALIDATED_FAST_COUNTS = {2: 10, 3: 8}
 def all_subspaces(n: int, q: int) -> tuple[tuple[frozenset, int], ...]:
     """Every subspace of F_q^n as (vector set, dimension), all dimensions."""
     ctx = field(q)
-    vectors = list(_all_vectors(n, q))
+    vectors = list(product(range(q), repeat=n))
     zero = tuple(0 for _ in range(n))
     seen: set[frozenset] = {frozenset([zero])}
     spaces: list[tuple[frozenset, int]] = [(frozenset([zero]), 0)]
@@ -875,15 +887,14 @@ def count_fixed_flags(g: MatGF, mu: tuple[int, ...]) -> int:
 
 
 def count_unitriangular_by_type(n: int, q: int) -> dict[Partition, int]:
-    """Census of all upper unitriangular n x n matrices by Jordan type."""
-    positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    """Census of all upper unitriangular n x n matrices u by Jordan type.
+
+    Column j of u - I has its entries in rows 0..j-1 alone, so the packed
+    columns run over the product of the packed vectors of F_q^j.
+    """
     counts: dict[Partition, int] = {}
-    for vals in product(range(q), repeat=len(positions)):
-        rows = [[int(i == j) for j in range(n)] for i in range(n)]
-        for (i, j), v in zip(positions, vals):
-            rows[i][j] = v
-        u = mat_from_rows(rows, q)
-        t = jordan_type_unipotent(u)
+    for cols in product(*(_packed_vectors(j, q) for j in range(n))):
+        t = nilpotent_type(cols, q)
         counts[t] = counts.get(t, 0) + 1
     return counts
 

@@ -323,6 +323,8 @@ class SamplerConfig:
             raise ValueError(f"seed must satisfy 0 <= seed < 2^64, got {self.seed}")
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
+        if self.threads < 1:
+            raise ValueError(f"threads must be at least 1, got {self.threads}")
         if self.k_max < 1:
             raise ValueError(f"k_max must be at least 1, got {self.k_max}")
         if self.mode == "haar" and self.k_max < GATE_ROWS:
@@ -511,12 +513,13 @@ def merge_records(parts: list[list[TrialRecord]]) -> list[TrialRecord]:
 def run_lln(config: SamplerConfig) -> FrequencyReport:
     """Full run; deterministic given (config, seed), trial-partitionable."""
     indices = list(range(config.trials))
-    if config.threads > 1:
-        chunks = [indices[i :: config.threads] for i in range(config.threads)]
+    workers = min(config.threads, config.trials)  # no worker without a trial
+    if workers > 1:
+        chunks = [indices[i :: workers] for i in range(workers)]
         from concurrent.futures import ProcessPoolExecutor
 
         try:
-            pool = ProcessPoolExecutor(max_workers=config.threads)
+            pool = ProcessPoolExecutor(max_workers=workers)
         except (OSError, NotImplementedError):  # no process pool on this platform
             parts = [run_trials(config, chunk) for chunk in chunks]
         else:

@@ -275,6 +275,14 @@ class TestLln:
         assert captured.out == ""
         assert captured.err == message + "\n"
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_is_usage_error(self, capsys, threads):
+        code = main(["--threads", threads, "lln", "--mode", "haar", "--n", "10", "--trials", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: threads must be at least 1, got {threads}\n"
+
     def test_measure_mode_rejects_the_matrix_engine(self, capsys):
         code = main(["lln", "--mode", "measure", "--spec", str(SPECS / "two_thirds.spec"),
                      "--engine", "matrix", "--n", "6", "--trials", "2"])

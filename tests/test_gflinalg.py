@@ -14,7 +14,6 @@ from hallq.gflinalg import (
     conj_class_type,
     count_fixed_flags,
     count_unitriangular_by_type,
-    extend_matrix,
     extend_type,
     extension_counts,
     extension_counts_closed,
@@ -26,11 +25,13 @@ from hallq.gflinalg import (
     invariant_subspaces,
     irreducible_polys,
     jordan_type_unipotent,
+    mat_add,
     mat_from_rows,
     mat_from_text,
     mat_inv,
     mat_mul,
     mat_vec,
+    nilpotent_type,
     pack,
     poly_eval_matrix,
     poly_from_text,
@@ -107,6 +108,16 @@ def _log_q(size: int, q: int) -> int:
     return k
 
 
+def _unitriangular(n, q):
+    """Every upper unitriangular n x n matrix over F_q, as row lists."""
+    positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for vals in product(range(q), repeat=len(positions)):
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        for (i, j), v in zip(positions, vals):
+            rows[i][j] = v
+        yield rows
+
+
 class TestRankReferee:
     """rank(m) against log_q of the size of the row space, which is
     enumerated over all q^n combinations of the rows with the field
@@ -166,13 +177,9 @@ class TestJordanReferee:
     def test_every_4x4_unitriangular(self, q):
         n = 4
         ctx = field(q)
-        positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
         vectors = list(product(range(q), repeat=n))
         types = set()
-        for vals in product(range(q), repeat=len(positions)):
-            u = [[int(i == j) for j in range(n)] for i in range(n)]
-            for (i, j), x in zip(positions, vals):
-                u[i][j] = x
+        for u in _unitriangular(n, q):
             xi = mat_from_rows([[ctx.sub(u[i][j], int(i == j)) for j in range(n)] for i in range(n)], q)
             kernel_sizes = [0] * (n + 1)  # kernel_sizes[k] = #{v : xi^k v = 0}
             for v in vectors:
@@ -326,14 +333,15 @@ class TestExtensions:
         assert extend_type(mat_from_rows([[1]], 2), (0,)) == (1, 1)
         assert extend_type(mat_from_rows([[1]], 2), (1,)) == (2,)
 
-    def test_extend_matrix_checks_the_new_column(self):
+    def test_extend_type_checks_the_new_column(self):
         u = canonical_unipotent((2, 1), 3)
-        assert extend_matrix(u, (2, 1, 0)) == mat_from_rows([[1, 1, 0, 2], [0, 1, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1]], 3)
+        ext = mat_from_rows([[1, 1, 0, 2], [0, 1, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1]], 3)
+        assert extend_type(u, (2, 1, 0)) == jordan_type_unipotent(ext) == (3, 1)
         for b in ((0, 3, 0), (0, -1, 0), (0, 1), (0, 1, 0, 0)):
             with pytest.raises(ValueError):
-                extend_matrix(u, b)
+                extend_type(u, b)
         with pytest.raises(ValueError):
-            extend_matrix(mat_from_rows([[1, 0]], 3), (0,))
+            extend_type(mat_from_rows([[1, 0]], 3), (0,))
 
     @pytest.mark.parametrize("q,n_max", [(2, 6), (3, 4)])
     def test_support_and_total(self, q, n_max):
@@ -359,11 +367,7 @@ class TestExtensions:
         for n in range(1, 6):
             for rho in enumerate_partitions(n):
                 ref = extension_counts(rho, 2)
-                positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
-                for vals in product(range(2), repeat=len(positions)):
-                    rows = [[int(i == j) for j in range(n)] for i in range(n)]
-                    for (i, j), v in zip(positions, vals):
-                        rows[i][j] = v
+                for rows in _unitriangular(n, 2):
                     u = mat_from_rows(rows, 2)
                     if jordan_type_unipotent(u) != rho:
                         continue
@@ -458,10 +462,61 @@ class TestClosedFormReferee:
                         v = combine(xi, v, q)
                     j = member.index(True) + 1
                     assert member == [k >= j for k in range(1, depth + 1)], (rho, b)
-                    sigma = jordan_type_unipotent(extend_matrix(u, b))
+                    sigma = extend_type(u, b)
                     assert sigma in covers_up(rho) and conjugate(sigma)[j - 1] == (cols + (0,))[j - 1] + 1, (rho, b)
                     landed.add(j)
         assert landed >= {1, 2, 3}
+
+
+def _type_from_explicit_powers(u):
+    """Jordan type of a unipotent u from rank (u - I)^k, with x = u - I and
+    each power built by ``mat_add`` and ``mat_mul``."""
+    n, ctx = u.n_rows, u.ctx
+    x = mat_add(u, mat_from_rows([[ctx.neg(int(i == j)) for j in range(n)] for i in range(n)], u.q))
+    ranks, power = [n], identity(n, u.q)
+    for _ in range(n):
+        power = mat_mul(power, x)
+        ranks.append(rank(power))
+    assert ranks[-1] == 0, u
+    return conjugate(tuple(a - b for a, b in zip(ranks, ranks[1:]) if a > b))
+
+
+class TestPackedRouteReferee:
+    """The brute oracles classify packed columns of x = u - I with
+    ``nilpotent_type``; the referee reads each type off the ranks of
+    explicit matrix powers of x instead."""
+
+    @pytest.mark.parametrize("q,n_max", [(2, 4), (3, 4), (4, 3)])
+    def test_every_unitriangular(self, q, n_max):
+        ctx = field(q)
+        for n in range(n_max + 1):
+            census = {}
+            for rows in _unitriangular(n, q):
+                u = mat_from_rows(rows, q)
+                want = _type_from_explicit_powers(u)
+                cols = [pack([ctx.sub(rows[i][j], int(i == j)) for i in range(n)], q) for j in range(n)]
+                assert nilpotent_type(cols, q) == jordan_type_unipotent(u) == want, rows
+                census[want] = census.get(want, 0) + 1
+            assert count_unitriangular_by_type(n, q) == census
+            assert set(census) == set(enumerate_partitions(n))
+
+    def test_extension_counts_q2(self):
+        q = 2
+        for n in range(6):
+            for rho in enumerate_partitions(n):
+                u = canonical_unipotent(rho, q)
+                census = {}
+                for b in product(range(q), repeat=n):
+                    ext = mat_from_rows([list(row) + [x] for row, x in zip(u.rows, b)] + [[0] * n + [1]], q)
+                    sigma = _type_from_explicit_powers(ext)
+                    census[sigma] = census.get(sigma, 0) + 1
+                assert extension_counts(rho, q) == census, rho
+
+    def test_rejects_a_matrix_that_is_not_nilpotent(self):
+        with pytest.raises(NotUnipotentError):
+            nilpotent_type([0b10, 0b01], 2)
+        with pytest.raises(NotUnipotentError):
+            nilpotent_type([(1,)], 3)
 
 
 class TestCensus:

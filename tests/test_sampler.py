@@ -43,6 +43,28 @@ def _run_trials_failing_in_workers(config, trial_indices):
     return run_trials(config, trial_indices)
 
 
+class _RecordingPool:
+    """Stand-in for ``ProcessPoolExecutor``: records the pool size and the
+    chunks it is given, and runs them in this process."""
+
+    made: list = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.chunks = []
+        _RecordingPool.made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, configs, chunks):
+        self.chunks = [list(c) for c in chunks]
+        return [fn(cfg, c) for cfg, c in zip(configs, self.chunks)]
+
+
 class TestRng:
     def test_keyed_blocks(self):
         a, b = CounterRng(42), CounterRng(42)
@@ -429,6 +451,20 @@ class TestRuns:
         with pytest.raises(RuntimeError, match="worker failure"):
             run_lln(cfg)
 
+    def test_pool_is_no_larger_than_the_trial_count(self, monkeypatch):
+        import concurrent.futures
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(_RecordingPool, "made", [])
+        cfg = SamplerConfig(mode="haar", engine="chain", q=2, n_max=10, trials=1, seed=3)
+        serial = run_lln(cfg)
+        assert run_lln(dataclasses.replace(cfg, threads=3)).records == serial.records
+        assert _RecordingPool.made == []  # one trial: one worker, this process
+        two = dataclasses.replace(cfg, trials=2)
+        assert run_lln(dataclasses.replace(two, threads=3)).records == run_lln(two).records
+        [pool] = _RecordingPool.made
+        assert pool.max_workers == 2 and pool.chunks == [[0], [1]]
+
     def test_config_rejects_bad_seed_and_trials(self):
         for bad in ({"seed": -1}, {"seed": 2**64}, {"trials": 0}):
             with pytest.raises(ValueError):
@@ -448,6 +484,8 @@ class TestRuns:
             {"k_max": 0},
             {"mode": "measure", "spec": TWO, "k_max": -3},
             {"mode": "haar", "k_max": 3},
+            {"threads": 0},
+            {"threads": -2},
         ],
     )
     def test_config_rejects_bad_field_size_and_engine(self, bad):
