@@ -213,8 +213,8 @@ def frobenius_transition_check(n: int, q) -> bool:
     t = 1 / q
     parts = enumerate_partitions(n)
     size = len(parts)
-    S = symfun.s_in_m(n)
-    P, _, _ = symfun.hl_transition(n, t)
+    S = symfun.kostka_numbers(n)
+    P = symfun.hl_p_in_m(n, t)
     ptilde = [
         [P[j][k] / q ** n_stat(parts[j]) for k in range(size)] for j in range(size)
     ]

@@ -968,13 +968,6 @@ def invariant_subspace_counts(rho: Partition, q: int) -> tuple[int, ...]:
     return tuple(total)
 
 
-def invariant_subspace_count(rho: Partition, dim: int, q: int) -> int:
-    """Number of invariant subspaces of the given dimension for a unipotent
-    matrix of type rho: one entry of ``invariant_subspace_counts``."""
-    counts = invariant_subspace_counts(rho, q)
-    return counts[dim] if 0 <= dim < len(counts) else 0
-
-
 def companion_matrix(f, q: int) -> MatGF:
     """Companion matrix of a monic polynomial (low-first coefficients)."""
     ctx = field(q)

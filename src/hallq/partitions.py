@@ -15,29 +15,17 @@ from functools import lru_cache
 Partition = tuple[int, ...]
 
 # Full exact transition matrices are built per degree; p(30) = 5604 keeps the
-# dense ones at the default cap tractable.
-DEFAULT_MAX_DEGREE = 30
-_max_degree = DEFAULT_MAX_DEGREE
+# dense ones at the cap tractable.
+MAX_DEGREE = 30
 
 
 class DegreeLimitError(ValueError):
     """Raised when a request exceeds the configured maximum degree."""
 
 
-def set_max_degree(n: int) -> None:
-    global _max_degree
-    if n < 0:
-        raise ValueError("max degree must be nonnegative")
-    _max_degree = n
-
-
-def max_degree() -> int:
-    return _max_degree
-
-
 def check_degree(n: int) -> None:
-    if n > _max_degree:
-        raise DegreeLimitError(f"degree {n} exceeds configured maximum {_max_degree}")
+    if n > MAX_DEGREE:
+        raise DegreeLimitError(f"degree {n} exceeds configured maximum {MAX_DEGREE}")
 
 
 def is_partition(parts: tuple) -> bool:
@@ -66,10 +54,12 @@ def format_partition(lam: Partition) -> str:
 
 
 def conjugate(lam: Partition) -> Partition:
-    """Column lengths of the Young diagram of ``lam``."""
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
+    """Column lengths of the Young diagram of ``lam``: from the last row up,
+    row i ends the columns of length i."""
+    cols: list[int] = []
+    for rows in range(len(lam), 0, -1):
+        cols += [rows] * (lam[rows - 1] - len(cols))
+    return tuple(cols)
 
 
 def n_stat(lam: Partition) -> int:

@@ -1,11 +1,14 @@
 """Exact symmetric-function engine at a fixed rational deformation parameter.
 
-Bases: monomial, Schur, power sum, Hall-Littlewood P and Q.  Every
-coefficient is a ``Fraction``; the parameter t is a fixed rational (in the
-finite-field applications t = 1/q), never a symbolic variable.  Transition
-matrices are built once per degree (and per t where relevant), indexed by the
-reverse-lexicographic partition list, and are triangular with unit diagonal
-wherever dominance theory says they must be.
+Bases: monomial, Schur, power sum, Hall-Littlewood P and Q.  A basis is
+the rows of its transition matrix into power sums (``m_in_p``, ``s_in_p``,
+``hl_p_in_p``, ``hl_q_in_p``), and ``evaluate_rows`` takes such rows to
+values at a point.  Every coefficient is a ``Fraction``; the parameter t is
+a fixed rational (in the finite-field applications t = 1/q), never a
+symbolic variable.  Transition matrices are built once per degree (and per
+t where relevant), indexed by the reverse-lexicographic partition list, and
+are triangular with unit diagonal wherever dominance theory says they must
+be.
 
 No tableau is enumerated.  Schur functions enter power sums through the
 Murnaghan-Nakayama character table, Kostka numbers come from Pieri's
@@ -44,8 +47,6 @@ from .partitions import (
 )
 
 Rational = Union[int, Fraction]
-
-BASES = ("monomial", "schur", "powersum", "hlP", "hlQ")
 
 
 # ---------------------------------------------------------------------------
@@ -610,12 +611,6 @@ def m_in_p(n: int) -> tuple[tuple[Fraction, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def s_in_m(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    K = kostka_numbers(n)
-    return tuple(tuple(Fraction(x) for x in row) for row in K)
-
-
-@lru_cache(maxsize=None)
 def s_in_p(n: int) -> tuple[tuple[Fraction, ...], ...]:
     """Rows: s_lam in power sums, chi^lam_rho / z_rho."""
     z = [z_coefficient(rho) for rho in enumerate_partitions(n)]
@@ -678,13 +673,10 @@ def hl_p_in_p(n: int, t: Fraction) -> tuple[tuple[Fraction, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def hl_transition(n: int, t: Fraction) -> tuple:
-    """(P-in-monomial, Q-in-monomial, b coefficients) at degree n, rational
-    t != 1: ``hl_p_in_p`` times ``p_in_m``, and Q_lam = b_lam(t) P_lam."""
-    P = _mat_mul(hl_p_in_p(n, t), p_in_m(n))
-    b = tuple(b_coefficient(lam, t) for lam in enumerate_partitions(n))
-    Q = tuple(tuple(bi * x for x in row) for bi, row in zip(b, P))
-    return P, Q, b
+def hl_p_in_m(n: int, t: Fraction) -> tuple[tuple[Fraction, ...], ...]:
+    """Rows: P_lam in monomials at degree n, rational t != 1: ``hl_p_in_p``
+    times ``p_in_m``."""
+    return _mat_mul(hl_p_in_p(n, t), p_in_m(n))
 
 
 @lru_cache(maxsize=None)
@@ -702,63 +694,8 @@ def hl_q_in_p(n: int, t: Fraction) -> tuple[tuple[Fraction, ...], ...]:
 
 
 # ---------------------------------------------------------------------------
-# vectors and evaluation
+# evaluation
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SymFuncVec:
-    """A degree-homogeneous symmetric function in a named basis."""
-
-    degree: int
-    basis: str
-    coeffs: tuple[tuple[Partition, Fraction], ...]
-    t: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        if self.basis not in BASES:
-            raise ValueError(f"unknown basis {self.basis!r}")
-        norm = tuple(
-            (validate_partition(lam), Fraction(c)) for lam, c in self.coeffs if c
-        )
-        for lam, _ in norm:
-            if sum(lam) != self.degree:
-                raise ValueError("coefficient index of wrong degree")
-        object.__setattr__(self, "coeffs", norm)
-        object.__setattr__(self, "t", Fraction(self.t))
-
-    def coeff_map(self) -> dict[Partition, Fraction]:
-        return dict(self.coeffs)
-
-
-def basis_vec(basis: str, lam, t: Rational = 0) -> SymFuncVec:
-    lam = validate_partition(lam)
-    return SymFuncVec(sum(lam), basis, ((lam, Fraction(1)),), Fraction(t))
-
-
-def to_power_sums(f: SymFuncVec) -> SymFuncVec:
-    """Exact change of basis into power sums."""
-    n = f.degree
-    check_degree(n)
-    parts = enumerate_partitions(n)
-    idx = partition_index(n)
-    if f.basis == "powersum":
-        return f
-    if f.basis == "monomial":
-        mat = m_in_p(n)
-    elif f.basis == "schur":
-        mat = s_in_p(n)
-    elif f.basis == "hlP":
-        mat = hl_p_in_p(n, f.t)
-    elif f.basis == "hlQ":
-        mat = hl_q_in_p(n, f.t)
-    out = [Fraction(0)] * len(parts)
-    for lam, c in f.coeffs:
-        row = mat[idx[lam]]
-        for j in range(len(parts)):
-            if row[j]:
-                out[j] += c * row[j]
-    return SymFuncVec(n, "powersum", tuple((parts[j], out[j]) for j in range(len(parts)) if out[j]))
 
 
 def power_values(spec: EvalPoint, t: Rational, n: int) -> tuple[Fraction, ...]:
@@ -782,24 +719,6 @@ def evaluate_rows(
     return tuple(
         sum((c * prod for c, prod in zip(row, products) if c), Fraction(0)) for row in rows
     )
-
-
-def evaluate(f: SymFuncVec, spec: EvalPoint, t: Rational | None = None) -> Fraction:
-    """Evaluate a symmetric function at a ThomaSpec (or functional), exactly.
-
-    ``t`` defaults to the vector's own parameter; it only matters for
-    geometric entries of the spec.
-    """
-    if t is None:
-        t = f.t
-    g = to_power_sums(f)
-    if g.degree == 0:
-        return sum((c for _, c in g.coeffs), Fraction(0))
-    idx = partition_index(g.degree)
-    row = [Fraction(0)] * len(idx)
-    for rho, c in g.coeffs:
-        row[idx[rho]] = c
-    return evaluate_rows((row,), spec, t, g.degree)[0]
 
 
 def schur_values(spec: EvalPoint, t: Rational, n: int) -> tuple[Fraction, ...]:

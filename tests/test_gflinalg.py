@@ -20,7 +20,6 @@ from hallq.gflinalg import (
     field,
     identity,
     image_filtration,
-    invariant_subspace_count,
     invariant_subspace_counts,
     invariant_subspaces,
     irreducible_polys,
@@ -609,13 +608,6 @@ class TestInvariantSubspaceCounts:
         assert invariant_subspace_counts((1, 1), 2) == (1, 3, 1)
         assert invariant_subspace_counts((2,), 3) == (1, 1, 1)
         assert invariant_subspace_counts((2, 1), 2) == (1, 3, 3, 1)
-
-    def test_single_dimension_lookup(self):
-        rho = (3, 2, 2, 1)
-        counts = invariant_subspace_counts(rho, 3)
-        for d in range(-1, 10):
-            expected = counts[d] if 0 <= d <= 8 else 0
-            assert invariant_subspace_count(rho, d, 3) == expected
 
 
 class TestPrimary:

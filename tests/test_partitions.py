@@ -39,6 +39,12 @@ class TestConjugate:
         assert conjugate((3,)) == (1, 1, 1)
         assert conjugate((4, 2, 1)) == (3, 2, 1, 1)
 
+    def test_column_count_definition(self):
+        # column j of the diagram holds one box per part of size >= j
+        for lam in partitions_up_to(20):
+            want = tuple(sum(1 for p in lam if p >= j) for j in range(1, (lam[0] if lam else 0) + 1))
+            assert conjugate(lam) == want, lam
+
     @given(small_partitions)
     def test_involution(self, lam):
         assert conjugate(conjugate(lam)) == lam

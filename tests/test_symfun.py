@@ -18,22 +18,23 @@ from hallq.symfun import (
     SpecEntry,
     ThomaSpec,
     b_coefficient,
-    basis_vec,
-    evaluate,
     geometric_merge,
     geometric_merge_beta,
-    hl_transition,
+    hl_p_in_m,
+    hl_p_in_p,
+    hl_q_in_p,
     kostka_foulkes,
     kostka_foulkes_entry,
     kostka_numbers,
     load_spec,
+    m_in_p,
     power_substitution,
     r_function,
-    s_in_m,
+    s_in_p,
     save_spec,
+    schur_values,
     spec_from_dict,
     spec_to_dict,
-    to_power_sums,
 )
 
 HALF = F(1, 2)
@@ -112,21 +113,18 @@ class TestHLTransition:
     def test_one_column_is_elementary(self):
         for t in (HALF, THIRD):
             for n in range(1, 6):
-                P, _, _ = hl_transition(n, t)
                 idx = partition_index(n)
-                row = P[idx[tuple([1] * n)]]
+                row = hl_p_in_m(n, t)[idx[tuple([1] * n)]]
                 want = [F(0)] * len(row)
                 want[idx[tuple([1] * n)]] = F(1)
                 assert list(row) == want
 
     def test_t_zero_is_schur(self):
         for n in range(1, 6):
-            P, _, _ = hl_transition(n, F(0))
-            assert P == s_in_m(n)
+            assert hl_p_in_m(n, F(0)) == kostka_numbers(n)
 
     def test_q_one_box(self):
-        _, Q, _ = hl_transition(1, HALF)
-        assert Q[0][0] == 1 - HALF
+        assert hl_q_in_p(1, HALF) == ((1 - HALF,),)
 
     def test_b_coefficients(self):
         assert b_coefficient((1,), HALF) == 1 - HALF
@@ -134,8 +132,9 @@ class TestHLTransition:
         assert b_coefficient((2, 1), THIRD) == (1 - THIRD) ** 2
 
     def test_t_one_rejected(self):
-        with pytest.raises(ValueError):
-            hl_transition(3, F(1))
+        for matrix in (hl_p_in_p, hl_p_in_m, hl_q_in_p):
+            with pytest.raises(ValueError):
+                matrix(3, F(1))
 
 
 class TestPowerSums:
@@ -200,19 +199,16 @@ class TestPowerSums:
 
 class TestEvaluate:
     def test_classical_expansions(self):
-        v = to_power_sums(basis_vec("schur", (1, 1)))
-        assert v.coeff_map() == {(1, 1): F(1, 2), (2,): F(-1, 2)}
-        v = to_power_sums(basis_vec("monomial", (1, 1)))
-        assert v.coeff_map() == {(1, 1): F(1, 2), (2,): F(-1, 2)}
-        assert to_power_sums(basis_vec("powersum", (4,))).coeff_map() == {(4,): F(1)}
+        # s_11 = m_11 = (p_11 - p_2) / 2, columns (2), (1, 1)
+        assert s_in_p(2)[1] == m_in_p(2)[1] == (F(-1, 2), F(1, 2))
 
     def test_schur_specials(self):
         one = spec_alpha(1)
         beta1 = ThomaSpec(betas=(SpecEntry(F(1)),))
         for n in range(1, 7):
-            assert evaluate(basis_vec("schur", (n,)), one, HALF) == 1
-        assert evaluate(basis_vec("schur", (1, 1)), one, HALF) == 0
-        assert evaluate(basis_vec("schur", (1, 1)), beta1, HALF) == 1
+            assert schur_values(one, HALF, n)[0] == 1
+        assert schur_values(one, HALF, 2) == (1, 0)
+        assert schur_values(beta1, HALF, 2) == (0, 1)
 
     def test_geometric_merge(self):
         spec = spec_alpha(F(3, 5), F(2, 5))
@@ -377,7 +373,7 @@ def test_non_triangular_kostka_foulkes_raises_under_optimize():
         bad[2][0] = Fraction(1)
         symfun.kostka_foulkes = lambda n, t: bad
         try:
-            symfun.hl_transition(3, Fraction(1, 2))
+            symfun.hl_p_in_p(3, Fraction(1, 2))
         except ArithmeticError as exc:
             print("raised:", exc)
     """)
