@@ -228,7 +228,6 @@ def cmd_lln(args) -> tuple[dict, bool]:
         seed=args.seed,
         k_max=args.kmax,
         spec=spec,
-        store_trajectories=bool(args.csv),
         threads=args.threads,
     )
     report = sampler.run_lln(config)
@@ -237,7 +236,6 @@ def cmd_lln(args) -> tuple[dict, bool]:
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(report.trajectories_csv())
-        doc.pop("trajectories", None)
     return doc, args.mode != "haar" or doc["gate"]["ok"]
 
 
@@ -357,7 +355,11 @@ def cmd_selftest(args) -> tuple[dict, bool]:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hallq", description=__doc__)
-    parser.add_argument("--threads", type=int, default=1, help="worker bound for parallel trials")
+    parser.add_argument(
+        "--threads", type=int, default=1,
+        help="worker bound for parallel trials: at most min(threads, trials, usable CPUs) workers start; "
+             "results do not depend on it",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("kostka-foulkes", help="degree-n Kostka-Foulkes matrix at rational t")

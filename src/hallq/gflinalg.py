@@ -421,15 +421,18 @@ class Span:
     def contains(self, v) -> bool:
         return not self._reduce(v)
 
-    def insert(self, v) -> None:
+    def insert(self, v) -> bool:
+        """Add v to the span; False, with nothing added, when v is already
+        in it."""
         v = self._reduce(v)
         if not v:
-            return
+            return False
         if self.q == 2:
             self._basis[v.bit_length()] = v
         else:
             scaled = self.ctx._mul_table[self.ctx.inv(v[-1])]
             self._basis[len(v)] = tuple([scaled[x] for x in v])
+        return True
 
 
 def image_filtration(cols, q: int) -> list[Span]:

@@ -36,14 +36,22 @@ the stream is block 0 || block 1 || ...  Its draws, digit by digit:
 
 Identical (seed, trial, step) always yields identical draws, so trials may
 be partitioned across workers in any way without changing results.
+
+A trial's record keeps its path: the column of the box added at each step,
+one machine integer per step.  Its snapshots (the column lengths every
+``snapshot_every`` steps and at the last step), and so the CSV, are read
+from that path when asked for.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
+from array import array
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
@@ -53,7 +61,7 @@ from typing import Optional
 
 from . import gflinalg, measures
 from .measures import CentralMeasure, DeadBranchError
-from .partitions import Partition, conjugate, covers_up, validate_partition
+from .partitions import Partition, added_column, conjugate, covers_up, validate_partition
 from .symfun import SpecEntry, ThomaSpec
 
 
@@ -178,26 +186,24 @@ class MatrixGrowthState:
 def matrix_haar_step(state: MatrixGrowthState, rng: CounterRng, trial: int, step: int) -> int:
     """One uniform-column growth step; returns the box column.
 
-    The new column b is classified by j = min k with xi^(k-1) b in Im(xi^k);
-    afterwards each Im xi^k absorbs xi^(k-1) b and b is appended to xi as its
-    new column.  Every 64 steps the filtration is rebuilt from xi alone and
-    compared, as an exact revalidation of the incremental updates.
+    The new column b is classified by j = min k with xi^(k-1) b in Im(xi^k),
+    and each Im xi^k absorbs xi^(k-1) b, one reduction per power; b is then
+    appended to xi as its new column.  The walk stops at j: if
+    xi^(j-1) b = xi^j w, then xi^(k-1) b = xi^k (xi^(k-j) w) for every
+    k >= j, so the later powers are already in their images.  Every 64
+    steps the filtration is rebuilt from xi alone and compared, as an exact
+    revalidation of the incremental updates.
     """
     q, xi, images = state.q, state.xi, state.images
-    b = rng.uniform_vector(trial, step, len(xi), q)
-    powers = []  # b, xi b, xi^2 b, ... while nonzero
-    v = b
-    while v:
-        powers.append(v)
-        v = gflinalg.combine(xi, v, q)
-    j = next(
-        (k for k, v in enumerate(powers, 1) if k <= len(images) and images[k - 1].contains(v)),
-        len(powers) + 1,
-    )
-    for k, v in enumerate(powers):
-        if k == len(images):
+    b = v = rng.uniform_vector(trial, step, len(xi), q)
+    j = 1
+    while v:  # v = xi^(j-1) b
+        if j > len(images):
             images.append(gflinalg.Span(q))
-        images[k].insert(v)
+        if not images[j - 1].insert(v):
+            break
+        v = gflinalg.combine(xi, v, q)
+        j += 1
     xi.append(b)
     if j <= len(state.cols):
         state.cols[j - 1] += 1
@@ -306,7 +312,6 @@ class SamplerConfig:
     spec: Optional[ThomaSpec] = None
     convention: str = measures.DEFAULT_CONVENTION
     fast_counts: bool = False  # read by nothing; kept while perfbench/workloads.py still passes it
-    store_trajectories: bool = False
     threads: int = 1
 
     def __post_init__(self):
@@ -335,12 +340,42 @@ class SamplerConfig:
         return self.snapshot_every or max(1, self.n_max // 50)
 
 
+@dataclass(frozen=True)
+class PathSnapshots(Sequence):
+    """The snapshots (n, cols at n) of one trial, read from its path:
+    path[s-1] is the column (1-based) of the box added at step s.  There is
+    a snapshot every ``every`` steps and one at the last step."""
+
+    path: array
+    every: int
+
+    def __iter__(self):
+        cols: list[int] = []
+        last = len(self.path)
+        for step, j in enumerate(self.path, 1):
+            if j > len(cols):
+                cols.append(1)
+            else:
+                cols[j - 1] += 1
+            if step % self.every == 0 or step == last:
+                yield step, tuple(cols)
+
+    def __len__(self) -> int:
+        return -(-len(self.path) // self.every)
+
+    def __getitem__(self, index):
+        return list(self)[index]
+
+
 @dataclass
 class TrialRecord:
+    """One trial: its final type, by rows and by columns, and its path as
+    snapshots."""
+
     trial: int
     final_rows: tuple[int, ...]
     final_cols: tuple[int, ...]
-    snapshots: list[tuple[int, tuple[int, ...]]]  # (n, cols at n)
+    snapshots: Sequence[tuple[int, tuple[int, ...]]]  # (n, cols at n); a PathSnapshots
 
 
 @dataclass
@@ -413,7 +448,7 @@ class FrequencyReport:
     def to_dict(self) -> dict:
         means_r, se_r = self.means_and_se("rows")
         means_c, se_c = self.means_and_se("cols")
-        doc = {
+        return {
             "mode": self.config.mode,
             "engine": self.config.engine,
             "q": self.config.q,
@@ -427,17 +462,6 @@ class FrequencyReport:
             "col_freq_se": se_c,
             "targets": self.targets(),
         }
-        if self.config.store_trajectories:
-            doc["trajectories"] = [
-                {
-                    "trial": rec.trial,
-                    "snapshots": [
-                        {"n": n, "cols": list(cols)} for n, cols in rec.snapshots
-                    ],
-                }
-                for rec in self.records
-            ]
-        return doc
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -456,36 +480,31 @@ class FrequencyReport:
 
 def _run_single_trial(config: SamplerConfig, rng: CounterRng, trial: int,
                       meas: Optional[CentralMeasure]) -> TrialRecord:
-    every = config.resolved_snapshot()
-    snapshots: list[tuple[int, tuple[int, ...]]] = []
+    """One trial, recorded as the box column of every step."""
+    steps = range(1, config.n_max + 1)
+    path = array("I")
     if config.mode == "measure":
         rho: Partition = ()
-        for step in range(1, config.n_max + 1):
-            rho = markov_step(rho, meas, rng, trial, step)
-            if step % every == 0 or step == config.n_max:
-                snapshots.append((step, conjugate(rho)))
+        for step in steps:
+            sigma = markov_step(rho, meas, rng, trial, step)
+            path.append(added_column(rho, sigma))
+            rho = sigma
         final_cols = conjugate(rho)
     elif config.engine == "chain":
         cols: list[int] = []
-        for step in range(1, config.n_max + 1):
-            cap = (cols[0] if cols else 0) + 1
-            z = rng.leading_zero_count(trial, step, config.q, cap)
-            chain_haar_step(cols, z)
-            if step % every == 0 or step == config.n_max:
-                snapshots.append((step, tuple(cols)))
+        for step in steps:
+            z = rng.leading_zero_count(trial, step, config.q, (cols[0] if cols else 0) + 1)
+            path.append(chain_haar_step(cols, z))
         final_cols = tuple(cols)
     else:
         state = MatrixGrowthState(q=config.q)
-        for step in range(1, config.n_max + 1):
-            matrix_haar_step(state, rng, trial, step)
-            if step % every == 0 or step == config.n_max:
-                snapshots.append((step, tuple(state.cols)))
+        path.extend(matrix_haar_step(state, rng, trial, step) for step in steps)
         final_cols = tuple(state.cols)
     return TrialRecord(
         trial=trial,
         final_rows=conjugate(final_cols),
         final_cols=final_cols,
-        snapshots=snapshots,
+        snapshots=PathSnapshots(path, config.resolved_snapshot()),
     )
 
 
@@ -510,10 +529,21 @@ def merge_records(parts: list[list[TrialRecord]]) -> list[TrialRecord]:
     return merged
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
 def run_lln(config: SamplerConfig) -> FrequencyReport:
-    """Full run; deterministic given (config, seed), trial-partitionable."""
+    """Full run; deterministic given (config, seed), trial-partitionable.
+
+    At most min(threads, trials, usable CPUs) workers start: none without a
+    trial or a CPU to run it.  Results do not depend on the worker count."""
     indices = list(range(config.trials))
-    workers = min(config.threads, config.trials)  # no worker without a trial
+    workers = min(config.threads, config.trials, _usable_cpus())
     if workers > 1:
         chunks = [indices[i :: workers] for i in range(workers)]
         from concurrent.futures import ProcessPoolExecutor

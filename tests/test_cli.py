@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from fractions import Fraction
@@ -183,6 +184,36 @@ class TestLln:
             runs.append((code, text, csv.read_bytes()))
         assert runs[0] == runs[1]
         assert '"timing_s": masked' in runs[0][1] and '"threads": masked' in runs[0][1]
+
+    # sha256 of the --csv file of each run, recorded while records still held
+    # their snapshot tuples; reading them from the box-column path must not
+    # change a byte
+    GOLDEN_CSV = {
+        "chain-q2": (["--mode", "haar", "--engine", "chain", "--q", "2", "--n", "300", "--trials", "8",
+                      "--seed", "1201"],
+                     "2228456d3ad4b257cc9c77325bcc8d1f0d748f4bc92205ca96c0c288a4425c55"),
+        "chain-q3-two-workers": (["--mode", "haar", "--engine", "chain", "--q", "3", "--n", "200", "--trials",
+                                  "6", "--seed", "1202"],
+                                 "02f6fcae1c18c60342afd79bea1948559bfd21c051978967492f29dd0156dbe6"),
+        "matrix-q2": (["--mode", "haar", "--engine", "matrix", "--q", "2", "--n", "130", "--trials", "2",
+                       "--seed", "1203"],
+                      "84603bcd236ddb91426d0d4abbde5f13e21ab8919b1636e35728f02890e0a8d1"),
+        "matrix-q3": (["--mode", "haar", "--engine", "matrix", "--q", "3", "--n", "70", "--trials", "2",
+                       "--seed", "1204"],
+                      "4704b9fb4100cf59b17bcee9b34b6598b06f11f715dc92632d7a828c3923d4d4"),
+        "measure-q2": (["--mode", "measure", "--spec", str(SPECS / "two_thirds.spec"), "--q", "2", "--n", "12",
+                        "--trials", "3", "--seed", "1205"],
+                       "67d95bc38055a532e7f71d1a6213eb2576b97a6de74b10a23356d2160ccd13e7"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CSV))
+    def test_csv_matches_golden_digest(self, capsys, tmp_path, name):
+        argv, digest = self.GOLDEN_CSV[name]
+        threads = "2" if name.endswith("two-workers") else "1"
+        csv = tmp_path / "traj.csv"
+        main(["--threads", threads, "lln", *argv, "--csv", str(csv)])
+        capsys.readouterr()
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == digest
 
     def test_measure_mode(self, capsys):
         code, doc = run_cli(

@@ -1,9 +1,11 @@
 import dataclasses
 import hashlib
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
+from array import array
 from fractions import Fraction as F
 from itertools import count
 from pathlib import Path
@@ -12,7 +14,7 @@ import pytest
 
 from hallq import gflinalg, sampler
 from hallq.measures import DeadBranchError, characteristic_measure, check_coherence
-from hallq.partitions import conjugate, covers_up, enumerate_partitions
+from hallq.partitions import added_column, conjugate, covers_up, enumerate_partitions
 from hallq.sampler import (
     ConditionalLawError,
     CounterRng,
@@ -306,6 +308,22 @@ class TestMatrixEngine:
             assert state.rho in covers_up(prev)
             prev = state.rho
 
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_walk_stopped_at_the_box_column_leaves_the_full_filtration(self, q):
+        # the powers past the box column are not inserted; at every step (not
+        # only every 64) the column must be the one the type of xi grew in,
+        # and a rebuild must find the same images
+        state = MatrixGrowthState(q=q)
+        rng = CounterRng(11)
+        prev = ()
+        for step in range(1, 81):
+            j = matrix_haar_step(state, rng, 0, step)
+            rho = gflinalg.nilpotent_type(state.xi, q)
+            assert j == added_column(prev, rho) and state.rho == rho
+            fresh = [span for span in gflinalg.image_filtration(state.xi, q) if span.dim]
+            sampler._check_same_filtration(state.images, fresh)
+            prev = rho
+
 
 class TestMarkov:
     def test_haar_conditionals_match_uniform_columns(self):
@@ -402,9 +420,12 @@ class TestRuns:
             assert rec.final_rows == conjugate(rec.final_cols)
 
     def test_seed_determinism(self):
-        cfg = SamplerConfig(mode="haar", engine="chain", q=2, n_max=50, trials=5, seed=11,
-                            store_trajectories=True)
-        assert run_lln(cfg).to_json() == run_lln(cfg).to_json()
+        cfg = SamplerConfig(mode="haar", engine="chain", q=2, n_max=50, trials=5, seed=11)
+        first, second = run_lln(cfg), run_lln(cfg)
+        assert first.records == second.records
+        assert first.to_json() == second.to_json()
+        assert first.trajectories_csv() == second.trajectories_csv()
+        assert run_lln(dataclasses.replace(cfg, seed=12)).records != first.records
 
     def test_partition_merge_determinism(self):
         cfg = SamplerConfig(mode="haar", engine="chain", q=2, n_max=40, trials=6, seed=4)
@@ -447,6 +468,7 @@ class TestRuns:
 
     def test_worker_error_propagates_without_serial_rerun(self, monkeypatch):
         monkeypatch.setattr(sampler, "run_trials", _run_trials_failing_in_workers)
+        monkeypatch.setattr(sampler, "_usable_cpus", lambda: 2)  # a real pool of 2 on any host
         cfg = SamplerConfig(mode="haar", engine="chain", q=2, n_max=10, trials=4, seed=3, threads=2)
         with pytest.raises(RuntimeError, match="worker failure"):
             run_lln(cfg)
@@ -456,6 +478,7 @@ class TestRuns:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "made", [])
+        monkeypatch.setattr(sampler, "_usable_cpus", lambda: 8)
         cfg = SamplerConfig(mode="haar", engine="chain", q=2, n_max=10, trials=1, seed=3)
         serial = run_lln(cfg)
         assert run_lln(dataclasses.replace(cfg, threads=3)).records == serial.records
@@ -464,6 +487,22 @@ class TestRuns:
         assert run_lln(dataclasses.replace(two, threads=3)).records == run_lln(two).records
         [pool] = _RecordingPool.made
         assert pool.max_workers == 2 and pool.chunks == [[0], [1]]
+
+    def test_pool_is_no_larger_than_the_cpu_count(self, monkeypatch):
+        import concurrent.futures
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(_RecordingPool, "made", [])
+        assert sampler._usable_cpus() >= 1
+        cfg = SamplerConfig(mode="haar", engine="chain", q=2, n_max=10, trials=5, seed=3)
+        serial = run_lln(cfg)
+        monkeypatch.setattr(sampler, "_usable_cpus", lambda: 1)
+        assert run_lln(dataclasses.replace(cfg, threads=4)).records == serial.records
+        assert _RecordingPool.made == []  # one CPU: no pool
+        monkeypatch.setattr(sampler, "_usable_cpus", lambda: 2)
+        assert run_lln(dataclasses.replace(cfg, threads=4)).records == serial.records
+        [pool] = _RecordingPool.made
+        assert pool.max_workers == 2 and pool.chunks == [[0, 2, 4], [1, 3]]
 
     def test_config_rejects_bad_seed_and_trials(self):
         for bad in ({"seed": -1}, {"seed": 2**64}, {"trials": 0}):
@@ -503,9 +542,51 @@ class TestRuns:
         assert gate["ok"], gate
 
     def test_csv(self):
-        cfg = SamplerConfig(mode="haar", engine="chain", q=2, n_max=20, trials=2, seed=1,
-                            store_trajectories=True)
+        cfg = SamplerConfig(mode="haar", engine="chain", q=2, n_max=20, trials=2, seed=1, snapshot_every=6)
         rep = run_lln(cfg)
-        csv = rep.trajectories_csv()
-        assert csv.splitlines()[0] == "trial,n,k,row_over_n,col_over_n"
-        assert len(csv.splitlines()) > 10
+        lines = rep.trajectories_csv().splitlines()
+        assert lines[0] == "trial,n,k,row_over_n,col_over_n"
+        want = []  # one line per record, snapshot (steps 6, 12, 18, 20) and row k <= k_max
+        for rec in rep.records:
+            for n, cols in rec.snapshots:
+                rows = conjugate(cols)
+                for k in range(cfg.k_max):
+                    r = rows[k] / n if k < len(rows) else 0.0
+                    c = cols[k] / n if k < len(cols) else 0.0
+                    want.append(f"{rec.trial},{n},{k + 1},{r},{c}")
+        assert lines[1:] == want and len(want) == 2 * 4 * cfg.k_max
+
+
+class TestRecords:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SamplerConfig(engine="chain", q=2, n_max=90, trials=2, seed=5, snapshot_every=7),
+            SamplerConfig(engine="chain", q=3, n_max=60, trials=2, seed=6, snapshot_every=7),
+            SamplerConfig(engine="matrix", q=2, n_max=70, trials=2, seed=7, snapshot_every=7),
+            SamplerConfig(mode="measure", spec=TWO, q=2, n_max=15, trials=2, seed=8, snapshot_every=7),
+        ],
+        ids=["chain-q2", "chain-q3", "matrix-q2", "measure-q2"],
+    )
+    def test_snapshots_are_read_from_the_path(self, cfg):
+        each_step = run_lln(dataclasses.replace(cfg, snapshot_every=1)).records
+        for rec, full in zip(run_lln(cfg).records, each_step):
+            steps = list(full.snapshots)
+            assert [n for n, _ in steps] == list(range(1, cfg.n_max + 1))
+            prev = ()
+            for n, cols in steps:
+                assert type(cols) is tuple and conjugate(cols) in covers_up(prev)
+                prev = conjugate(cols)
+            assert steps[-1][1] == rec.final_cols and prev == rec.final_rows
+            taken = [(n, cols) for n, cols in steps if n % 7 == 0 or n == cfg.n_max]
+            assert list(rec.snapshots) == taken and len(rec.snapshots) == len(taken)
+            assert rec.snapshots[1] == taken[1] and rec.snapshots[-2:] == taken[-2:]
+            assert list(rec.snapshots.path) == [added_column(conjugate(a), conjugate(b))
+                                                for (_, a), (_, b) in zip([(0, ())] + steps, steps)]
+
+    def test_record_keeps_one_machine_integer_per_step(self):
+        rec = run_trials(SamplerConfig(engine="chain", q=2, n_max=400, trials=1, seed=42), [0])[0]
+        assert isinstance(rec.snapshots.path, array) and len(rec.snapshots.path) == 400
+        # over 11 KB when the record held its 50 snapshot tuples
+        assert len(pickle.dumps(rec)) < 4096
+        assert pickle.loads(pickle.dumps(rec)) == rec
