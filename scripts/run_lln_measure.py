@@ -39,7 +39,7 @@ def main() -> int:
     col_t = beta_targets(spec, config.k_max)
     rows, row_se = report.means_and_se("rows")
     cols, col_se = report.means_and_se("cols")
-    print(f"measure growth: {args.spec} q={args.q} n={args.n} trials={args.trials}")
+    print(f"measure growth: {Path(args.spec).name} q={args.q} n={args.n} trials={args.trials}")
     print(f"counts: {report.counts_source}")
     print(f"{'k':>3} {'row mean':>10} {'row target':>11} {'col mean':>10} {'col target':>11}")
     for k in range(config.k_max):

@@ -940,17 +940,111 @@ def _q_binomial_row(a: int, q: int) -> tuple[int, ...]:
     return tuple(row)
 
 
+def _weight_powers(a: int, b: int, top: int) -> tuple[list[int], list[int]]:
+    apow, bpow = [1], [1]
+    for _ in range(top):
+        apow.append(apow[-1] * a)
+        bpow.append(bpow[-1] * b)
+    return apow, bpow
+
+
+def _suffix_step(state: list[int], length: int, q: int, apow, bpow) -> list[int]:
+    """One column of the homogenised sweep, taken right to left.
+
+    ``state[s]`` is the weight summed over the choices in the later columns
+    with mu'_(i+1) = s; the result, indexed by m = mu'_i for 0 <= m <= L,
+    is B^m A^(L-m) sum over s <= m of state[s] q^(s(L-m)) [L-s choose m-s]_q,
+    the sum read by Horner's rule in q^(L-m).
+    """
+    rows = [_q_binomial_row(length - s, q) for s in range(len(state))]
+    out = []
+    for m in range(length + 1):
+        y = q ** (length - m)
+        acc = 0
+        for s in range(min(m, len(state) - 1), -1, -1):
+            acc = acc * y + state[s] * rows[s][m - s]
+        out.append(acc * bpow[m] * apow[length - m])
+    return out
+
+
+def _prefix_step(functional: list[int], length: int, q: int, apow, bpow) -> list[int]:
+    """The same column taken left to right, on a functional of its state
+    m = mu'_i: the functional of s = mu'_(i+1) for 0 <= s <= L,
+    sum over m >= s of q^(s(L-m)) [L-s choose m-s]_q B^m A^(L-m) functional[m],
+    by Horner's rule in q^s."""
+    weighted = [functional[m] * bpow[m] * apow[length - m] for m in range(length + 1)]
+    out = []
+    for s in range(length + 1):
+        x = q**s
+        row = _q_binomial_row(length - s, q)
+        acc = 0
+        for m in range(s, length + 1):
+            acc = acc * x + row[m - s] * weighted[m]
+        out.append(acc)
+    return out
+
+
+def subspace_weight_sum(rho: Partition, q: int, a: int, b: int) -> int:
+    """Sum over the invariant subspaces U of a unipotent matrix of type rho
+    over F_q of a^(n - dim U) b^(dim U), n = |rho|.
+
+    The number of submodules of type mu is a product over the columns i of
+    rho of q^(mu'_(i+1) (rho'_i - mu'_i)) [rho'_i - mu'_(i+1) choose
+    mu'_i - mu'_(i+1)]_q (Macdonald, Ch. II), and a^(n - |mu|) b^|mu| is the
+    product of b^(mu'_i) a^(rho'_i - mu'_i) over the same columns.  So the
+    sum is a transfer-matrix product over the columns, swept from the last
+    to the first with state s = mu'_(i+1) and one integer per state
+    (``_suffix_step``).
+    """
+    cols = conjugate(validate_partition(rho))
+    apow, bpow = _weight_powers(a, b, cols[0] if cols else 0)
+    state = [1]
+    for length in reversed(cols):
+        state = _suffix_step(state, length, q, apow, bpow)
+    return sum(state)
+
+
+def cover_subspace_weight_sums(rho: Partition, q: int, a: int, b: int) -> dict[Partition, int]:
+    """``subspace_weight_sum`` of every cover of rho, from one pass over the
+    columns of rho.
+
+    A cover lengthens one column j and keeps the others, so its sum is
+    G_j . T'_j . S_(j+1): S_(j+1) is the suffix state of the sweep of rho
+    after columns j+1, j+2, ...; T'_j the lengthened column; and G_j the
+    prefix functional of columns 1..j-1, which maps the state mu'_j to the
+    sum over the choices in those columns.  G_1 is 1 on every state, and
+    G_j is kept for the states up to rho'_(j-1), the most the lengthened
+    column j may reach.
+    """
+    rho = validate_partition(rho)
+    lengths = conjugate(rho) + (0,)  # a new column lengthens the empty one past the last
+    apow, bpow = _weight_powers(a, b, lengths[0] + 1)
+    suffix = [[1]]
+    for length in reversed(lengths):
+        suffix.append(_suffix_step(suffix[-1], length, q, apow, bpow))
+    suffix.reverse()  # suffix[j]: the state after the columns j, j+1, ... (0-based)
+    grown = {added_column(rho, sigma) - 1: sigma for sigma in covers_up(rho)}
+    out = {}
+    functional = [1] * (lengths[0] + 2)  # G_1
+    for j, length in enumerate(lengths):
+        if j in grown:
+            state = _suffix_step(suffix[j + 1], length + 1, q, apow, bpow)
+            out[grown[j]] = sum(g * w for g, w in zip(functional, state))
+        functional = _prefix_step(functional, length, q, apow, bpow)
+    return out
+
+
 def invariant_subspace_counts(rho: Partition, q: int) -> tuple[int, ...]:
     """(c_0, ..., c_n) with c_k the number of invariant k-subspaces of a
     unipotent matrix of type rho over F_q, n = |rho|.
 
-    The number of submodules of type mu is a product over the columns i of
-    rho of q^(mu'_{i+1} (rho'_i - mu'_i)) [rho'_i - mu'_{i+1} choose
-    mu'_i - mu'_{i+1}]_q (Macdonald, Ch. II), so the sum over every mu of
-    that product times z^|mu| is a transfer-matrix product over the columns.
-    The sweep runs from the last column to the first; its state is
-    s = mu'_{i+1}, and each state carries the polynomial in z (coefficient
-    list, low degree first) summed over the choices made so far.
+    No production caller: this is the test referee of the integer sweep
+    ``subspace_weight_sum``, whose value at (A, B) is the sum of
+    c_k A^(n-k) B^k, and ``submodule_type_count`` is in turn its own
+    referee.  It runs the same column sweep (state s = mu'_{i+1}, from the
+    last column to the first), but each state carries the polynomial in z
+    (coefficient list, low degree first) summed over the choices made so
+    far.
     """
     rho = validate_partition(rho)
     states = {0: [1]}

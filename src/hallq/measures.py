@@ -30,6 +30,13 @@ r-route exactly when its label has one and its evaluation point is the
 ``expand-both`` expansion of the label; every other measure takes the
 Q-route.  The Q-route stays callable by name (``cylinder_via_q``), unmemoized,
 as the referee the tests hold the dispatch to.
+
+For two alpha atoms the fast r-route is one integer sweep over the columns
+of rho (``gflinalg.subspace_weight_sum``).  Growth asks for every cover of
+the type it stands on, and ``cover_cylinders`` fills the memo with all the
+missing ones from a single pass over the columns of rho
+(``gflinalg.cover_subspace_weight_sums``); every other measure, and a type
+with only one cover missing, takes ``cylinder_prob`` once per cover.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from . import gflinalg, symfun
 from .partitions import (
     Partition,
     check_degree,
+    covers_up,
     enumerate_partitions,
     n_stat,
     partition_index,
@@ -121,6 +129,10 @@ def cylinder_prob(meas: CentralMeasure, rho: Partition) -> Fraction:
         value = _level_factor(meas.ground.q, sum(rho)) * r_function_fast(rho, meas.label, meas.ground.q)
     else:
         value = cylinder_via_q(meas, rho)
+    return _remember(meas, rho, value)
+
+
+def _remember(meas: CentralMeasure, rho: Partition, value: Fraction) -> Fraction:
     if value < 0:
         raise NegativeCylinderError(
             f"negative cylinder value {value} at rho={rho}; "
@@ -128,6 +140,29 @@ def cylinder_prob(meas: CentralMeasure, rho: Partition) -> Fraction:
         )
     meas.memo[rho] = value
     return value
+
+
+def cover_cylinders(meas: CentralMeasure, rho: Partition) -> dict[Partition, Fraction]:
+    """Cylinder values of every cover of rho, in ``covers_up`` order,
+    memoized on the measure like ``cylinder_prob``.
+
+    Under the fast r-route of two alpha atoms, when more than one cover is
+    missing from the memo, all of them come from one pass over the columns
+    of rho (``gflinalg.cover_subspace_weight_sums``).  Otherwise each missing
+    cover goes through ``cylinder_prob``, which for two atoms is the sweep of
+    that one cover.
+    """
+    rho = validate_partition(rho)
+    covers = covers_up(rho)
+    missing = [sigma for sigma in covers if sigma not in meas.memo]
+    if len(missing) > 1 and meas.route == FAST_R_ROUTE and len(meas.label.alphas) == 2:
+        big_a, big_b, den = _two_atom_weights(meas.label)
+        n = sum(rho) + 1
+        sums = gflinalg.cover_subspace_weight_sums(rho, int(meas.ground.q), big_a, big_b)
+        scale = _level_factor(meas.ground.q, n)
+        for sigma in missing:
+            _remember(meas, sigma, scale * Fraction(sums[sigma], den**n))
+    return {sigma: cylinder_prob(meas, sigma) for sigma in covers}
 
 
 def cylinder_via_q(meas: CentralMeasure, rho: Partition) -> Fraction:
@@ -263,30 +298,30 @@ def fast_route_available(spec: ThomaSpec) -> bool:
     return False
 
 
-def r_function_fast(rho: Partition, spec: ThomaSpec, q: Fraction) -> Fraction:
-    """r-function of a low-width point via invariant-subspace counts.
+def _two_atom_weights(spec: ThomaSpec) -> tuple[int, int, int]:
+    """(A, B, D) with the alpha atoms (a, b) = (A / D, B / D), D = a_den b_den."""
+    a, b = (e.value for e in spec.alphas)
+    return a.numerator * b.denominator, b.numerator * a.denominator, a.denominator * b.denominator
 
-    For alpha atoms (a, b): r_rho(a, b) = a^n F_rho(b/a) = sum over k of
-    c_k a^(n-k) b^k, where F_rho(z) = sum over k of c_k z^k and c_k counts
-    the invariant k-subspaces (``gflinalg.invariant_subspace_counts``).  The
-    sum is taken in integers, with a = A / (a_den b_den) and
-    b = B / (a_den b_den), and divided by (a_den b_den)^n once.  For a single
-    beta atom b: b^n q^(n(n-1)/2) on the one-column type, else 0.
+
+def r_function_fast(rho: Partition, spec: ThomaSpec, q: Fraction) -> Fraction:
+    """r-function of a low-width point via invariant subspaces.
+
+    For alpha atoms (a, b): r_rho(a, b) is the sum over the invariant
+    subspaces U of a^(n - dim U) b^(dim U).  With a = A / D and b = B / D
+    that is ``gflinalg.subspace_weight_sum`` at (A, B), an integer column
+    sweep, divided by D^n once.  For a single alpha atom a: a^n.  For a
+    single beta atom b: b^n q^(n(n-1)/2) on the one-column type, else 0.
     """
     rho = validate_partition(rho)
     n = sum(rho)
     if n == 0:
         return Fraction(1)
     if not spec.betas:
-        atoms = [e.value for e in spec.alphas]
-        if len(atoms) == 1:
-            return atoms[0] ** n
-        a, b = atoms
-        big_a = a.numerator * b.denominator
-        big_b = b.numerator * a.denominator
-        counts = gflinalg.invariant_subspace_counts(rho, int(q))
-        total = sum(c * big_a ** (n - k) * big_b**k for k, c in enumerate(counts))
-        return Fraction(total, (a.denominator * b.denominator) ** n)
+        if len(spec.alphas) == 1:
+            return spec.alphas[0].value ** n
+        big_a, big_b, den = _two_atom_weights(spec)
+        return Fraction(gflinalg.subspace_weight_sum(rho, int(q), big_a, big_b), den**n)
     b = spec.betas[0].value
     if rho == tuple([1] * n):
         return b**n * Fraction(q) ** (n * (n - 1) // 2)

@@ -61,7 +61,7 @@ from typing import Optional
 
 from . import gflinalg, measures
 from .measures import CentralMeasure, DeadBranchError
-from .partitions import Partition, added_column, conjugate, covers_up, validate_partition
+from .partitions import Partition, added_column, conjugate, validate_partition
 from .symfun import SpecEntry, ThomaSpec
 
 
@@ -234,7 +234,8 @@ class ConditionalLawError(ArithmeticError):
 
 def markov_step(rho: Partition, meas: CentralMeasure, rng: CounterRng, trial: int, step: int) -> Partition:
     """One exact conditional growth step under a central measure, with the
-    closed-form extension counts."""
+    closed-form extension counts and the cover values of
+    ``measures.cover_cylinders``."""
     rho = validate_partition(rho)
     m_rho = measures.cylinder_prob(meas, rho)
     if m_rho == 0:
@@ -243,11 +244,11 @@ def markov_step(rho: Partition, meas: CentralMeasure, rng: CounterRng, trial: in
     cts = gflinalg.extension_counts_closed(rho, q)
     sigmas = []
     probs = []
-    for sigma in covers_up(rho):
+    for sigma, m_sigma in measures.cover_cylinders(meas, rho).items():
         c = cts.get(sigma, 0)
         if not c:
             continue
-        p = Fraction(c) * measures.cylinder_prob(meas, sigma) / m_rho
+        p = Fraction(c) * m_sigma / m_rho
         if p:
             sigmas.append(sigma)
             probs.append(p)

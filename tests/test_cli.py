@@ -1,6 +1,8 @@
 import hashlib
 import json
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -204,6 +206,18 @@ class TestLln:
         "measure-q2": (["--mode", "measure", "--spec", str(SPECS / "two_thirds.spec"), "--q", "2", "--n", "12",
                         "--trials", "3", "--seed", "1205"],
                        "67d95bc38055a532e7f71d1a6213eb2576b97a6de74b10a23356d2160ccd13e7"),
+        # recorded while every cover value came from its own subspace-count
+        # polynomial; the integer sweep and the one-pass covers must not
+        # change a byte
+        "measure-q2-n60": (["--mode", "measure", "--spec", str(SPECS / "two_thirds.spec"), "--q", "2", "--n", "60",
+                            "--trials", "3", "--seed", "1301"],
+                           "c3d67934493e16c61f5164ee0b72ead65daafd73c92eb7287c827743bd17b987"),
+        "measure-q3-n20": (["--mode", "measure", "--spec", str(SPECS / "two_thirds.spec"), "--q", "3", "--n", "20",
+                            "--trials", "3", "--seed", "1302"],
+                           "bcb48c74b492c8d6ebcbb5580fe3eb6b62faf1ee66dd25a77777761a78cb7658"),
+        "measure-q2-two-workers": (["--mode", "measure", "--spec", str(SPECS / "two_thirds.spec"), "--q", "2",
+                                    "--n", "40", "--trials", "4", "--seed", "1303"],
+                                   "1c5fea686dc6852bb3ec59ae69705640148348ea63359b6e57ab555e386f7b57"),
     }
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_CSV))
@@ -214,6 +228,14 @@ class TestLln:
         main(["--threads", threads, "lln", *argv, "--csv", str(csv)])
         capsys.readouterr()
         assert hashlib.sha256(csv.read_bytes()).hexdigest() == digest
+
+    def test_measure_script_names_the_spec_file_only(self):
+        # the first line does not depend on where the checkout lives
+        script = SPECS.parent / "scripts" / "run_lln_measure.py"
+        done = subprocess.run([sys.executable, str(script), "--n", "6", "--trials", "2"],
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[0] == "measure growth: two_thirds.spec q=2 n=6 trials=2"
 
     def test_measure_mode(self, capsys):
         code, doc = run_cli(

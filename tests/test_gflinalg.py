@@ -13,6 +13,7 @@ from hallq.gflinalg import (
     companion_matrix,
     conj_class_type,
     count_fixed_flags,
+    cover_subspace_weight_sums,
     count_unitriangular_by_type,
     extend_type,
     extension_counts,
@@ -39,9 +40,11 @@ from hallq.gflinalg import (
     primary_element,
     rank,
     submodule_type_count,
+    subspace_weight_sum,
     validate_closed_extension_counts,
 )
 from hallq.partitions import conjugate, covers_up, enumerate_partitions, gaussian_binomial
+from hallq.sampler import SamplerConfig, run_trials
 
 
 class TestField:
@@ -608,6 +611,36 @@ class TestInvariantSubspaceCounts:
         assert invariant_subspace_counts((1, 1), 2) == (1, 3, 1)
         assert invariant_subspace_counts((2,), 3) == (1, 1, 1)
         assert invariant_subspace_counts((2, 1), 2) == (1, 3, 3, 1)
+
+
+WEIGHTS = ((2, 1), (1, 2), (3, 5), (7, 7), (1, 0), (0, 4))
+
+
+class TestSubspaceWeightSum:
+    @pytest.mark.parametrize("q,n_max", [(2, 10), (3, 10), (4, 7)])
+    def test_matches_the_subspace_counts(self, q, n_max):
+        # the scalar sweep is the count polynomial, homogenised, at (A, B)
+        for n in range(0, n_max + 1):
+            for rho in enumerate_partitions(n):
+                counts = invariant_subspace_counts(rho, q)
+                for a, b in WEIGHTS:
+                    want = sum(c * a ** (n - k) * b**k for k, c in enumerate(counts))
+                    assert subspace_weight_sum(rho, q, a, b) == want, (rho, a, b)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_covers_match_one_sweep_per_cover(self, q):
+        for n in range(0, 11):
+            for rho in enumerate_partitions(n):
+                sums = cover_subspace_weight_sums(rho, q, 3, 5)
+                assert sums == {sigma: subspace_weight_sum(sigma, q, 3, 5) for sigma in covers_up(rho)}
+
+    def test_covers_of_chain_types_at_n200(self):
+        config = SamplerConfig(q=2, n_max=200, trials=20, seed=1313)
+        for rec in run_trials(config, list(range(20))):
+            rho = rec.final_rows
+            assert cover_subspace_weight_sums(rho, 2, 2, 1) == {
+                sigma: subspace_weight_sum(sigma, 2, 2, 1) for sigma in covers_up(rho)
+            }
 
 
 class TestPrimary:

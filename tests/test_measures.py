@@ -13,6 +13,7 @@ from hallq.measures import (
     characteristic_measure,
     check_coherence,
     check_normalization,
+    cover_cylinders,
     cylinder_prob,
     cylinder_prob_fast,
     cylinder_via_q,
@@ -21,7 +22,7 @@ from hallq.measures import (
     r_function_fast,
     unitriangular_type_counts,
 )
-from hallq.partitions import enumerate_partitions
+from hallq.partitions import covers_up, enumerate_partitions
 from hallq.symfun import GroundParams, SpecEntry, ThomaSpec, r_function
 
 HAAR = ThomaSpec(alphas=(SpecEntry(F(1)),))
@@ -251,20 +252,45 @@ class TestFastRoute:
             for rho in enumerate_partitions(n):
                 assert r_function_fast(rho, BETA1, g.q) == r_function(rho, BETA1, g.t)
 
-    def test_fast_beyond_symfun_cap_consistent_with_counts(self):
-        # coherence of the fast route alone, checked with closed counts at n = 12
-        g = GroundParams(2)
-        meas = characteristic_measure(ALPHA_SPECS[1], g)
-        rho = (6, 3, 2, 1)
-        lhs = cylinder_prob_fast(meas, rho)
-        rhs = sum(
-            (
-                F(c) * cylinder_prob_fast(meas, sigma)
-                for sigma, c in gflinalg.extension_counts_closed(rho, 2).items()
-            ),
-            F(0),
-        )
-        assert lhs == rhs
+    @pytest.mark.parametrize("q,n_max", [(2, 14), (3, 10)])
+    def test_cover_pass_coherent_with_closed_counts(self, q, n_max):
+        # q^n r_rho = sum over covers of c_{rho,sigma} r_sigma, i.e. M_rho is
+        # the count-weighted sum of the cover values, with every cover of rho
+        # from one pass (the memo is emptied first) and M_rho from its own sweep
+        meas = characteristic_measure(ALPHA_SPECS[1], GroundParams(q))
+        for n in range(0, n_max + 1):
+            for rho in enumerate_partitions(n):
+                meas.memo.clear()
+                covers = cover_cylinders(meas, rho)
+                assert list(covers) == list(covers_up(rho))
+                counts = gflinalg.extension_counts_closed(rho, q)
+                assert cylinder_prob(meas, rho) == sum((c * covers[s] for s, c in counts.items()), F(0))
+
+    def test_cover_pass_fills_the_memo_with_the_single_cover_values(self):
+        g = GroundParams(3)
+        batch = characteristic_measure(ALPHA_SPECS[5], g)
+        single = characteristic_measure(ALPHA_SPECS[5], g)
+        rho = (4, 2, 2, 1)
+        covers = cover_cylinders(batch, rho)
+        assert set(batch.memo) == set(covers_up(rho))
+        assert covers == {sigma: cylinder_prob(single, sigma) for sigma in covers_up(rho)}
+
+    def test_one_missing_cover_takes_its_own_sweep(self, monkeypatch):
+        meas = characteristic_measure(ALPHA_SPECS[1], GroundParams(2))
+        rho = (3, 1)
+        *known, last = covers_up(rho)
+        for sigma in known:
+            cylinder_prob(meas, sigma)
+        monkeypatch.setattr(gflinalg, "cover_subspace_weight_sums", None)  # never reached
+        assert cover_cylinders(meas, rho)[last] == characteristic_cylinder_via_r(ALPHA_SPECS[1], last, GroundParams(2))
+
+    @pytest.mark.parametrize("spec,convention", [(HAAR, "expand-alpha"), (BETA1, "expand-beta"),
+                                                 (ALPHA_SPECS[1], "expand-none"),
+                                                 (ALPHA_SPECS[2], "expand-alpha")])
+    def test_other_measures_take_one_value_per_cover(self, monkeypatch, spec, convention):
+        meas = characteristic_measure(spec, GroundParams(2), convention)
+        monkeypatch.setattr(gflinalg, "cover_subspace_weight_sums", None)  # never reached
+        assert cover_cylinders(meas, (2, 1)) == {sigma: cylinder_via_q(meas, sigma) for sigma in covers_up((2, 1))}
 
 
 class TestRouteRule:

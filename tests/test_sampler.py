@@ -380,6 +380,35 @@ class TestMarkov:
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("raised: conditional law sums to"), done.stdout
 
+    def test_corrupt_cover_value_raises_under_optimize(self):
+        # one wrong cover value from the one-pass sweep breaks the law, under -O too
+        code = textwrap.dedent("""
+            from fractions import Fraction
+            from hallq import gflinalg, sampler
+            from hallq.measures import characteristic_measure
+            from hallq.symfun import GroundParams, SpecEntry, ThomaSpec
+            assert False, "asserts are live: not running under -O"
+            exact = gflinalg.cover_subspace_weight_sums
+            def corrupt(rho, q, a, b):
+                sums = exact(rho, q, a, b)
+                sigma = next(iter(sums))
+                sums[sigma] += 1
+                return sums
+            gflinalg.cover_subspace_weight_sums = corrupt
+            spec = ThomaSpec(alphas=(SpecEntry(Fraction(2, 3)), SpecEntry(Fraction(1, 3))))
+            meas = characteristic_measure(spec, GroundParams(2))
+            try:
+                sampler.markov_step((2, 1), meas, sampler.CounterRng(1), 0, 1)
+            except sampler.ConditionalLawError as exc:
+                print("raised:", exc)
+        """)
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("raised: conditional law sums to"), done.stdout
+
     def test_unknown_counts_source_is_rejected(self):
         meas = characteristic_measure(TWO, GroundParams(2))
         with pytest.raises(ValueError, match="unknown counts source 'bogus'"):
