@@ -171,12 +171,11 @@ def cmd_cylinder(args) -> tuple[dict, bool]:
 def cmd_coherence_check(args) -> tuple[dict, bool]:
     spec, ground = _load_spec_arg(args)
     meas = measures.characteristic_measure(spec, ground, args.convention)
-    report = measures.check_coherence(meas, args.nmax, counts=args.counts)
+    report = measures.check_coherence(meas, args.nmax)
     norm = measures.check_normalization(meas, min(args.nmax, 5))
     return {
         "q": _frac(ground.q),
         "nmax": args.nmax,
-        "counts": report.counts_source,
         "checked": report.checked,
         "violations": [
             {"rho": format_partition(v.rho), "lhs": _frac(v.lhs), "rhs": _frac(v.rhs)}
@@ -380,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--q", type=str)
     p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--counts", default="brute", choices=gflinalg.COUNT_SOURCES)
     p.add_argument("--convention", default=measures.DEFAULT_CONVENTION, choices=measures.CONVENTIONS)
     p.add_argument("--out")
     p.set_defaults(func=cmd_coherence_check)

@@ -36,21 +36,16 @@ _IRREDUCIBLE = {
     (7, 2): (3, 6, 1),
 }
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
-
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
-    for p in _SMALL_PRIMES:
-        if q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, e
-    raise ValueError(f"{q} is not a supported prime power")
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    e, m = 0, q
+    while m % p == 0:
+        m //= p
+        e += 1
+    if m != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return p, e
 
 
 class FieldCtx:
@@ -724,7 +719,7 @@ def extension_counts(rho: Partition, q: int) -> dict[Partition, int]:
     Works on the packed columns of x = u - I for the canonical matrix u of
     type rho; each column b goes through a fresh Jordan computation of the
     whole matrix [[x, b], [0, 0]], so this is the independent oracle for the
-    closed-form counts.
+    closed-form counts; it has no production caller.
     """
     rho = validate_partition(rho)
     xi = _xi_columns(canonical_unipotent(rho, q))
@@ -772,19 +767,6 @@ def extension_counts_closed(rho: Partition, q: int) -> dict[Partition, int]:
         if c:
             out[sigma] = c
     return out
-
-
-COUNT_SOURCES = ("brute", "closed")
-
-
-def extension_counts_from(source: str, rho: Partition, q: int) -> dict[Partition, int]:
-    """Extension counts from the named source: ``"brute"`` (the matrix-level
-    census) or ``"closed"`` (the closed form)."""
-    if source == "brute":
-        return extension_counts(rho, q)
-    if source == "closed":
-        return extension_counts_closed(rho, q)
-    raise ValueError(f"unknown counts source {source!r}; expected one of {COUNT_SOURCES}")
 
 
 def validate_closed_extension_counts(max_n: int, q: int) -> dict:
@@ -893,7 +875,8 @@ def count_unitriangular_by_type(n: int, q: int) -> dict[Partition, int]:
     """Census of all upper unitriangular n x n matrices u by Jordan type.
 
     Column j of u - I has its entries in rows 0..j-1 alone, so the packed
-    columns run over the product of the packed vectors of F_q^j.
+    columns run over the product of the packed vectors of F_q^j.  A referee
+    for ``measures.unitriangular_type_counts``; it has no production caller.
     """
     counts: dict[Partition, int] = {}
     for cols in product(*(_packed_vectors(j, q) for j in range(n))):

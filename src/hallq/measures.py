@@ -203,7 +203,6 @@ class CoherenceViolation:
 class CoherenceReport:
     n_max: int
     q: int
-    counts_source: str
     checked: int
     violations: list[CoherenceViolation]
 
@@ -212,9 +211,9 @@ class CoherenceReport:
         return not self.violations
 
 
-def check_coherence(meas: CentralMeasure, n_max: int, counts: str = "brute") -> CoherenceReport:
+def check_coherence(meas: CentralMeasure, n_max: int) -> CoherenceReport:
     """Exact check of M_rho = sum over covers sigma of c_{rho,sigma} M_sigma
-    for every rho of size below n_max."""
+    for every rho of size below n_max, with the closed-form counts c."""
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     q = int(meas.ground.q)
@@ -223,7 +222,7 @@ def check_coherence(meas: CentralMeasure, n_max: int, counts: str = "brute") -> 
     for n in range(0, n_max):
         for rho in enumerate_partitions(n):
             lhs = cylinder_prob(meas, rho)
-            cts = gflinalg.extension_counts_from(counts, rho, q)
+            cts = gflinalg.extension_counts_closed(rho, q)
             rhs = sum(
                 (Fraction(c) * cylinder_prob(meas, sigma) for sigma, c in cts.items()),
                 Fraction(0),
@@ -231,7 +230,7 @@ def check_coherence(meas: CentralMeasure, n_max: int, counts: str = "brute") -> 
             checked += 1
             if lhs != rhs:
                 violations.append(CoherenceViolation(rho, lhs, rhs))
-    return CoherenceReport(n_max, q, counts, checked, violations)
+    return CoherenceReport(n_max, q, checked, violations)
 
 
 @dataclass
@@ -239,43 +238,35 @@ class NormalizationReport:
     n: int
     q: int
     total: Fraction
-    counts_source: str
 
     @property
     def ok(self) -> bool:
         return self.total == 1
 
 
-def unitriangular_type_counts(n: int, q: int, method: str = "auto") -> dict[Partition, int]:
-    """N_rho(q) for rho of size n.
-
-    "brute" enumerates all q^(n(n-1)/2) matrices; "recursion" folds the
-    brute-force extension counts level by level (each level-(n+1) matrix is
-    the extension of a unique corner); "auto" picks brute where it is cheap.
-    """
-    if method == "auto":
-        method = "brute" if (q == 2 and n <= 5) or (q == 3 and n <= 4) or n <= 3 else "recursion"
-    if method == "brute":
-        return gflinalg.count_unitriangular_by_type(n, q)
+def unitriangular_type_counts(n: int, q: int) -> dict[Partition, int]:
+    """N_rho(q) for rho of size n: the closed-form extension counts folded
+    level by level from the empty type, since each level-(n+1) matrix is the
+    extension of a unique corner."""
     counts: dict[Partition, int] = {(): 1}
-    for level in range(n):
+    for _ in range(n):
         nxt: dict[Partition, int] = {}
         for rho, mult in counts.items():
-            for sigma, c in gflinalg.extension_counts(rho, q).items():
+            for sigma, c in gflinalg.extension_counts_closed(rho, q).items():
                 nxt[sigma] = nxt.get(sigma, 0) + mult * c
         counts = nxt
     return counts
 
 
-def check_normalization(meas: CentralMeasure, n: int, counts: str = "auto") -> NormalizationReport:
+def check_normalization(meas: CentralMeasure, n: int) -> NormalizationReport:
     """Exact verdict on sum over rho of N_rho(q) M_rho = 1 at level n."""
     q = int(meas.ground.q)
-    type_counts = unitriangular_type_counts(n, q, counts)
+    type_counts = unitriangular_type_counts(n, q)
     total = sum(
         (Fraction(c) * cylinder_prob(meas, rho) for rho, c in type_counts.items()),
         Fraction(0),
     )
-    return NormalizationReport(n, q, total, counts)
+    return NormalizationReport(n, q, total)
 
 
 # ---------------------------------------------------------------------------

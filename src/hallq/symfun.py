@@ -464,7 +464,8 @@ CACHE_FORMAT = "hallq-matrix-cache-v1"
 
 def _cache_path(kind: str, n: int, t: Fraction) -> Path | None:
     root = os.environ.get(CACHE_ENV_VAR)
-    if not root:
+    # at t = -1, 0 or 1 the load check below cannot see every entry
+    if not root or t in (-1, 0, 1):
         return None
     tag = f"{t.numerator}_{t.denominator}"
     return Path(root) / f"{kind}-n{n}-t{tag}.json"
@@ -472,7 +473,8 @@ def _cache_path(kind: str, n: int, t: Fraction) -> Path | None:
 
 def _cache_load(kind: str, n: int, t: Fraction):
     """The stored p(n) x p(n) matrix, or None on a miss: no file, an
-    unreadable or malformed one, or a header for another matrix."""
+    unreadable or malformed one, a header for another matrix, or a row that
+    fails its identity at the geometric Haar point."""
     path = _cache_path(kind, n, t)
     if path is None or not path.exists():
         return None
@@ -488,7 +490,23 @@ def _cache_load(kind: str, n: int, t: Fraction):
     size = len(enumerate_partitions(n))
     if len(rows) != size or any(len(row) != size for row in rows):
         return None
-    return rows
+    return rows if _holds_at_haar_point(kind, rows, n, t) else None
+
+
+def _holds_at_haar_point(kind: str, rows, n: int, t: Fraction) -> bool:
+    """Whether every row passes one exact identity at the geometric Haar
+    point g (one geometric alpha entry of mass 1): Q_rho(g) =
+    t^n(rho) (1-t)^n, and s_lam(g) = sum over mu of K_lam,mu(t) Q_mu(g) /
+    b_mu(t).  Unless t is -1, 0 or 1 no term vanishes, so one changed entry
+    fails its row."""
+    g = ThomaSpec(alphas=(SpecEntry(Fraction(1), geometric=True),))
+    parts = enumerate_partitions(n)
+    q_at_g = [t ** n_stat(mu) * (1 - t) ** n for mu in parts]
+    if kind == "hl-q-in-p":
+        return evaluate_rows(rows, g, t, n) == tuple(q_at_g)
+    p_at_g = [v / b_coefficient(mu, t) for v, mu in zip(q_at_g, parts)]
+    s_at_g = schur_values(g, t, n)
+    return all(sum(k * p for k, p in zip(row, p_at_g)) == s for row, s in zip(rows, s_at_g))
 
 
 def _cache_store(kind: str, n: int, t: Fraction, rows) -> None:

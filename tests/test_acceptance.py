@@ -62,11 +62,14 @@ def test_criterion_01_exact_coherence():
     ok = True
     for q, n_max in ((2, 8), (3, 6)):
         g = GroundParams(q)
+        rhos = [rho for n in range(n_max) for rho in enumerate_partitions(n)]
+        counts = {rho: gflinalg.extension_counts(rho, q) for rho in rhos}
         for spec in shipped_specs():
             meas = measures.characteristic_measure(spec, g)
-            report = measures.check_coherence(meas, n_max, counts="brute")
-            ok = ok and report.ok
-            checked += report.checked
+            for rho in rhos:
+                rhs = sum((c * measures.cylinder_prob(meas, sigma) for sigma, c in counts[rho].items()), F(0))
+                ok = ok and measures.cylinder_prob(meas, rho) == rhs
+                checked += 1
     verdict(1, "exact coherence (Haar + 5 shipped specs, brute counts)", ok,
             f"{checked} identities, rho up to size 7 at q=2 and 5 at q=3")
 

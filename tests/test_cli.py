@@ -90,6 +90,14 @@ class TestCoherence:
         assert code == 0
         assert doc["result"]["checks"] == {"coherence": True, "normalization": True}
         assert doc["result"]["violations"] == []
+        assert "counts" not in doc["result"] and "counts" not in doc["manifest"]["params"]
+
+    def test_counts_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["coherence-check", "--spec", str(SPECS / "two_thirds.spec"), "--q", "2", "--nmax", "4",
+                  "--counts", "brute"])
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_wrong_convention_fails_loudly(self, capsys):
         code = main(

@@ -77,6 +77,21 @@ class TestField:
         with pytest.raises(ValueError):
             field(6)
 
+    def test_every_prime_field_builds(self):
+        primes = [q for q in range(2, 257) if all(q % d for d in range(2, q))]
+        for q in primes:
+            ctx = field(q)
+            assert (ctx.p, ctx.e) == (q, 1)
+        for q in (32, 64, 81, 125, 128, 243, 256):
+            with pytest.raises(ValueError, match="no irreducible polynomial embedded"):
+                field(q)
+
+    @pytest.mark.parametrize("engine", ["chain", "matrix"])
+    def test_prime_field_above_13_runs(self, engine):
+        config = SamplerConfig(mode="haar", engine=engine, q=17, n_max=30, trials=1, seed=3)
+        (rec,) = run_trials(config, [0])
+        assert sum(rec.final_rows) == 30 and conjugate(rec.final_rows) == rec.final_cols
+
 
 class TestRank:
     def test_examples(self):

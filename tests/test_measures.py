@@ -127,10 +127,6 @@ class TestCoherence:
         assert not report.ok
         assert report.violations[0].rho == (1,)
 
-    def test_closed_counts_agree(self):
-        meas = characteristic_measure(ALPHA_SPECS[1], GroundParams(2))
-        assert check_coherence(meas, 5, counts="closed").ok
-
 
 class TestNormalization:
     @pytest.mark.parametrize("q,n", [(2, 4), (2, 5), (3, 4)])
@@ -145,15 +141,31 @@ class TestNormalization:
         meas = characteristic_measure(ALPHA_SPECS[2], GroundParams(2))
         assert check_normalization(meas, 1).total == 1
 
-    def test_census_recursion_matches_brute(self):
-        for q, n in ((2, 4), (2, 5), (3, 4)):
-            assert unitriangular_type_counts(n, q, "recursion") == unitriangular_type_counts(
-                n, q, "brute"
-            )
+    def test_census_matches_brute_census(self):
+        for q, n_top in ((2, 5), (3, 4)):
+            for n in range(n_top + 1):
+                assert unitriangular_type_counts(n, q) == gflinalg.count_unitriangular_by_type(n, q)
+
+    @pytest.mark.parametrize("q,n", [(2, 7), (3, 6)])
+    def test_census_matches_fold_of_brute_extension_counts(self, q, n):
+        # the referee folds the matrix-level extension counts level by level
+        census = {(): 1}
+        for _ in range(n):
+            nxt = {}
+            for rho, mult in census.items():
+                for sigma, c in gflinalg.extension_counts(rho, q).items():
+                    nxt[sigma] = nxt.get(sigma, 0) + mult * c
+            census = nxt
+        assert unitriangular_type_counts(n, q) == census
+
+    @pytest.mark.parametrize("q,n_top", [(2, 20), (3, 14)])
+    def test_census_counts_every_matrix(self, q, n_top):
+        for n in range(n_top + 1):
+            assert sum(unitriangular_type_counts(n, q).values()) == q ** (n * (n - 1) // 2)
 
     def test_full_invariant_range(self):
         # exact normalization for shipped-style specs at n <= 7 (q=2) and
-        # n <= 5 (q=3); counts beyond the brute range come from the recursion
+        # n <= 5 (q=3)
         for q, n_top in ((2, 7), (3, 5)):
             g = GroundParams(q)
             for spec in ALPHA_SPECS:

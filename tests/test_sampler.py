@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from hallq import gflinalg, sampler
-from hallq.measures import DeadBranchError, characteristic_measure, check_coherence
+from hallq.measures import DeadBranchError, characteristic_measure
 from hallq.partitions import added_column, conjugate, covers_up, enumerate_partitions
 from hallq.sampler import (
     ConditionalLawError,
@@ -408,11 +408,6 @@ class TestMarkov:
                               env=env, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("raised: conditional law sums to"), done.stdout
-
-    def test_unknown_counts_source_is_rejected(self):
-        meas = characteristic_measure(TWO, GroundParams(2))
-        with pytest.raises(ValueError, match="unknown counts source 'bogus'"):
-            check_coherence(meas, 2, counts="bogus")
 
     def test_beta_measure_forced_path(self):
         meas = characteristic_measure(BETA1, GroundParams(2), convention="expand-beta")

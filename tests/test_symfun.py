@@ -285,8 +285,10 @@ class TestDiskCache:
     def cache_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv(symfun.CACHE_ENV_VAR, str(tmp_path))
         kostka_foulkes.cache_clear()
+        hl_q_in_p.cache_clear()
         yield tmp_path
         kostka_foulkes.cache_clear()
+        hl_q_in_p.cache_clear()
 
     def reference(self):
         # from the charge referee, so that it never calls the builder
@@ -337,6 +339,25 @@ class TestDiskCache:
     def test_wrong_shape_is_a_miss(self, cache_dir):
         self.write(self.doc([[F(1)]]))
         assert kostka_foulkes(self.N, HALF) == self.reference()
+
+    @pytest.mark.parametrize("kind,build", [("kostka-foulkes", kostka_foulkes), ("hl-q-in-p", hl_q_in_p)])
+    def test_one_changed_entry_is_a_miss(self, cache_dir, kind, build):
+        # K[(4), (3, 1)] is t = 1/2 and lies above the diagonal, so only the
+        # identity at the geometric Haar point can see it change
+        fresh = build(self.N, HALF)
+        path = symfun._cache_path(kind, self.N, HALF)
+        stored = path.read_text(encoding="utf-8")
+        doc = json.loads(stored)
+        doc["rows"][0][1] = str(F(doc["rows"][0][1]) + F(3, 8))
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        build.cache_clear()
+        assert build(self.N, HALF) == fresh
+        assert path.read_text(encoding="utf-8") == stored
+
+    @pytest.mark.parametrize("t", [F(-1), F(0), F(1)])
+    def test_no_file_where_the_check_degenerates(self, cache_dir, t):
+        kostka_foulkes(self.N, t)
+        assert list(cache_dir.iterdir()) == []
 
     def test_concurrent_writers(self, cache_dir):
         # two processes store and re-read the same key at once: every read
