@@ -127,6 +127,17 @@ class TestCoherence:
         assert not report.ok
         assert report.violations[0].rho == (1,)
 
+    def test_closed_counts_agree(self):
+        # the closed-form counts the check reads match the matrix-level
+        # referee on every type it visits, and the measure is coherent
+        meas = characteristic_measure(ALPHA_SPECS[1], GroundParams(2))
+        for n in range(5):
+            for rho in enumerate_partitions(n):
+                assert gflinalg.extension_counts_closed(rho, 2) == gflinalg.extension_counts(
+                    rho, 2
+                )
+        assert check_coherence(meas, 5).ok
+
 
 class TestNormalization:
     @pytest.mark.parametrize("q,n", [(2, 4), (2, 5), (3, 4)])
