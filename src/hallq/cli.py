@@ -148,7 +148,7 @@ def cmd_kostka_foulkes(args) -> tuple[dict, bool]:
 def cmd_cylinder(args) -> tuple[dict, bool]:
     spec, ground = _load_spec_arg(args)
     rho = parse_partition(args.rho)
-    meas = measures.characteristic_measure(spec, ground, args.convention)
+    meas = measures.characteristic_measure(spec, ground)
     value = measures.cylinder_prob(meas, rho)
     # the route the measure did not take: the Q-route behind a fast r-route
     # value, the general r-route behind a Q-route value
@@ -160,7 +160,6 @@ def cmd_cylinder(args) -> tuple[dict, bool]:
     return {
         "rho": format_partition(rho),
         "q": _frac(ground.q),
-        "convention": args.convention,
         "value_num": _frac(value.numerator),
         "value_den": _frac(value.denominator),
         "decimal": _decimal(value),
@@ -170,9 +169,9 @@ def cmd_cylinder(args) -> tuple[dict, bool]:
 
 def cmd_coherence_check(args) -> tuple[dict, bool]:
     spec, ground = _load_spec_arg(args)
-    meas = measures.characteristic_measure(spec, ground, args.convention)
+    meas = measures.characteristic_measure(spec, ground)
     report = measures.check_coherence(meas, args.nmax)
-    norm = measures.check_normalization(meas, min(args.nmax, 5))
+    norm = measures.check_normalization(meas, args.nmax)
     return {
         "q": _frac(ground.q),
         "nmax": args.nmax,
@@ -371,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--q", type=str)
     p.add_argument("--rho", required=True)
-    p.add_argument("--convention", default=measures.DEFAULT_CONVENTION, choices=measures.CONVENTIONS)
     p.add_argument("--out")
     p.set_defaults(func=cmd_cylinder)
 
@@ -379,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--q", type=str)
     p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--convention", default=measures.DEFAULT_CONVENTION, choices=measures.CONVENTIONS)
     p.add_argument("--out")
     p.set_defaults(func=cmd_coherence_check)
 

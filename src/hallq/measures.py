@@ -8,26 +8,23 @@ here come from Thoma points (alpha; beta): the cylinder probability is
 
 with t = 1/q, n = |rho|, Q the Hall-Littlewood Q function, and q^(-n(n-1)/2)
 the mass a single level-n cylinder carries under the Haar measure.  The
-"expanded point" replaces atoms by geometric families; which side of
-(alpha; beta) is expanded is a per-measure convention, because the source
-formulas disagree.  The shipped default is ``expand-alpha``, the unique
-convention that passes exact coherence, Haar recovery and two-route equality
-on the beta-free adjudication corpus (see docs/convention_adjudication.md);
-``expand-both`` extends it to mixed points and is the one that matches the
-independent r-function route on every point, which the tests assert.
+"expanded point" (``CentralMeasure.eval_spec``) replaces every alpha atom and
+every beta atom by the geometric family of the same mass.  On beta-free
+points it is the expansion that wins the adjudication among the source
+formulas (``hloracle.adjudicate_expansions``, whose table the docs keep);
+with beta atoms it is the only expansion whose values match the independent
+r-function route, which the tests assert.
 
 The same number has an independent second route: q^(-n(n-1)/2) times the
 r-function of the unexpanded point (a Kostka-Foulkes sum against Schur
 values).  Exact equality of the two routes is a shipped test, not an
 assumption.
 
-``cylinder_prob`` is the one memoized entry point, and the measure fixes its
+``cylinder_prob`` is the one memoized entry point, and the label fixes its
 route (``CentralMeasure.route``).  A point with at most two alpha atoms and
 nothing else, or a single beta atom and nothing else, has a fast r-route
 (``r_function_fast``, no degree cap); it values the unexpanded point, which
-equals the Q-route at the ``expand-both`` point.  So a measure takes the fast
-r-route exactly when its label has one and its evaluation point is the
-``expand-both`` expansion of the label; every other measure takes the
+equals the Q-route at the expanded point.  Every other measure takes the
 Q-route.  The Q-route stays callable by name (``cylinder_via_q``), unmemoized,
 as the referee the tests hold the dispatch to.
 
@@ -56,63 +53,49 @@ from .partitions import (
 )
 from .symfun import GroundParams, ThomaSpec
 
-CONVENTIONS = ("expand-alpha", "expand-beta", "expand-none", "expand-both")
-DEFAULT_CONVENTION = "expand-alpha"
 Q_ROUTE = "q"
 FAST_R_ROUTE = "fast-r"
 
 
 class NegativeCylinderError(ValueError):
-    """Signals a convention/point mismatch; values are never clamped."""
+    """A cylinder value came out negative; values are never clamped."""
 
 
 class DeadBranchError(ValueError):
     """A conditional step was requested from a zero-probability cylinder."""
 
 
-def expand_spec(spec: ThomaSpec, convention: str) -> ThomaSpec:
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
-    out = spec
-    if convention in ("expand-alpha", "expand-both"):
-        out = symfun.geometric_merge(out)
-    if convention in ("expand-beta", "expand-both"):
-        out = symfun.geometric_merge_beta(out)
-    return out
-
-
 @dataclass
 class CentralMeasure:
     """A central measure with memoized exact cylinder probabilities.
 
-    The rest is derived: ``eval_spec`` is the label expanded under the
-    convention, ``memo`` starts empty, and ``route`` is ``FAST_R_ROUTE`` when
-    the label has a fast r-route and ``eval_spec`` is its ``expand-both``
-    expansion, else ``Q_ROUTE``.
+    The rest is derived: ``eval_spec`` is the label with every alpha and
+    beta atom expanded, ``memo`` starts empty, and ``route`` is
+    ``FAST_R_ROUTE`` when the label has a fast r-route, else ``Q_ROUTE``.
+    The ground field must have an integer q: the extension counts and the
+    fast r-route count subspaces over F_q.
     """
 
     label: ThomaSpec
     ground: GroundParams
-    convention: str = DEFAULT_CONVENTION
     eval_spec: ThomaSpec = field(init=False)
     memo: dict[Partition, Fraction] = field(init=False, default_factory=dict)
     route: str = field(init=False)
 
     def __post_init__(self):
         self.label.require_normalized()
-        self.eval_spec = expand_spec(self.label, self.convention)
-        fast = fast_route_available(self.label) and self.eval_spec == expand_spec(self.label, "expand-both")
-        self.route = FAST_R_ROUTE if fast else Q_ROUTE
+        if self.ground.q.denominator != 1:
+            raise ValueError(f"a central measure needs an integer q, got {self.ground.q}")
+        self.eval_spec = symfun.geometric_merge_beta(symfun.geometric_merge(self.label))
+        self.route = FAST_R_ROUTE if fast_route_available(self.label) else Q_ROUTE
 
     def cylinder(self, rho: Partition) -> Fraction:
         return cylinder_prob(self, rho)
 
 
-def characteristic_measure(
-    spec: ThomaSpec, ground: GroundParams, convention: str = DEFAULT_CONVENTION
-) -> CentralMeasure:
+def characteristic_measure(spec: ThomaSpec, ground: GroundParams) -> CentralMeasure:
     """The central measure attached to a Thoma point by geometric expansion."""
-    return CentralMeasure(label=spec, ground=ground, convention=convention)
+    return CentralMeasure(label=spec, ground=ground)
 
 
 def _level_factor(q: Fraction, n: int) -> Fraction:
@@ -134,10 +117,7 @@ def cylinder_prob(meas: CentralMeasure, rho: Partition) -> Fraction:
 
 def _remember(meas: CentralMeasure, rho: Partition, value: Fraction) -> Fraction:
     if value < 0:
-        raise NegativeCylinderError(
-            f"negative cylinder value {value} at rho={rho}; "
-            f"the convention {meas.convention!r} does not fit this point"
-        )
+        raise NegativeCylinderError(f"negative cylinder value {value} at rho={rho}")
     meas.memo[rho] = value
     return value
 
@@ -323,7 +303,6 @@ def cylinder_prob_fast(meas: CentralMeasure, rho: Partition) -> Fraction:
     """``cylinder_prob`` for a measure whose route is the fast r-route."""
     if meas.route != FAST_R_ROUTE:
         raise ValueError(
-            f"the fast r-route needs <= 2 alpha atoms or a single beta atom, evaluated at the "
-            f"expand-both point; this measure (convention {meas.convention!r}) takes the Q-route"
+            "the fast r-route needs <= 2 alpha atoms or a single beta atom; this measure takes the Q-route"
         )
     return cylinder_prob(meas, rho)

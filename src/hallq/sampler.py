@@ -311,7 +311,6 @@ class SamplerConfig:
     k_max: int = 8
     snapshot_every: int = 0  # 0: auto
     spec: Optional[ThomaSpec] = None
-    convention: str = measures.DEFAULT_CONVENTION
     fast_counts: bool = False  # read by nothing; kept while perfbench/workloads.py still passes it
     threads: int = 1
 
@@ -518,9 +517,7 @@ def run_trials(config: SamplerConfig, trial_indices: list[int]) -> list[TrialRec
             raise ValueError("measure mode needs a spec")
         from .symfun import GroundParams
 
-        meas = measures.characteristic_measure(
-            config.spec, GroundParams(config.q), config.convention
-        )
+        meas = measures.characteristic_measure(config.spec, GroundParams(config.q))
     return [_run_single_trial(config, rng, t, meas) for t in trial_indices]
 
 

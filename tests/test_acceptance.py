@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from hallq import characters, gflinalg, grassmann, ipfamily, measures, sampler
+from hallq import characters, gflinalg, grassmann, hloracle, ipfamily, measures, sampler
 from hallq.gflinalg import (
     block_diag,
     count_fixed_flags,
@@ -266,40 +266,19 @@ def test_criterion_10_ipfamily_suite():
 
 @pytest.mark.acceptance
 def test_criterion_11_convention_adjudication():
-    """Exactly one of the three source conventions passes coherence, Haar
+    """Exactly one of the three source expansions passes coherence, Haar
     recovery and two-route equality on the beta-free corpus; the repo docs
-    record it and the shipped default matches."""
-    corpus = shipped_specs()
-    passing = []
-    for convention in ("expand-alpha", "expand-beta", "expand-none"):
-        ok = True
-        for q in (2, 3):
-            g = GroundParams(q)
-            for spec in corpus:
-                meas = measures.characteristic_measure(spec, g, convention)
-                try:
-                    haar_ok = True
-                    if spec == corpus[0]:
-                        haar_ok = all(
-                            measures.cylinder_via_q(meas, rho) == F(1, q ** (n * (n - 1) // 2))
-                            for n in range(5)
-                            for rho in enumerate_partitions(n)
-                        )
-                    routes_ok = all(
-                        measures.cylinder_via_q(meas, rho)
-                        == measures.characteristic_cylinder_via_r(spec, rho, g)
-                        for n in range(5)
-                        for rho in enumerate_partitions(n)
-                    )
-                    coherent = measures.check_coherence(meas, 4).ok
-                    ok = ok and haar_ok and routes_ok and coherent
-                except measures.NegativeCylinderError:
-                    ok = False
-        if ok:
-            passing.append(convention)
-    unique = passing == ["expand-alpha"]
-    documented = DOC_PATH.exists() and "expand-alpha" in DOC_PATH.read_text()
-    default_matches = measures.DEFAULT_CONVENTION == "expand-alpha"
-    verdict(11, "convention adjudication (unique winner, documented, shipped default)",
-            unique and documented and default_matches,
-            f"passing={passing}, documented={documented}")
+    hold the page the referee renders, and every shipped beta-free measure
+    evaluates at the winner's point."""
+    corpus = dict(zip(SHIPPED_SPEC_FILES, shipped_specs()))
+    table = hloracle.adjudicate_expansions(corpus, 5)
+    winners = hloracle.adjudication_winners(table)
+    unique = winners == ["expand-alpha"]
+    documented = DOC_PATH.read_text(encoding="utf-8") == hloracle.render_adjudication(corpus, 5, table)
+    at_winner = all(
+        measures.characteristic_measure(spec, GroundParams(2)).eval_spec == hloracle.expand_spec(spec, "expand-alpha")
+        for spec in corpus.values()
+    )
+    verdict(11, "convention adjudication (unique winner, documented, measures at the winner's point)",
+            unique and documented and at_winner,
+            f"passing={winners}, documented={documented}, at_winner={at_winner}")

@@ -72,6 +72,17 @@ class TestCylinder:
         assert doc["result"]["value_den"] == "8"
         assert doc["result"]["checks"]["two_route_equal"] is False
 
+    def test_beta_point_is_a_probability(self, capsys):
+        # beta_one is evaluated at its expand-both point, the measure on one-column types
+        code, doc = run_cli(
+            ["cylinder", "--spec", str(SPECS / "beta_one.spec"), "--q", "2", "--rho", "1,1"],
+            capsys,
+        )
+        assert code == 0
+        assert (doc["result"]["value_num"], doc["result"]["value_den"]) == ("1", "1")
+        assert doc["result"]["checks"]["two_route_equal"] is True
+        assert "convention" not in doc["result"] and "convention" not in doc["manifest"]["params"]
+
     def test_deterministic_payload(self, capsys):
         argv = ["cylinder", "--spec", str(SPECS / "fifths.spec"), "--q", "2", "--rho", "2,2"]
         _, d1 = run_cli(argv, capsys)
@@ -90,7 +101,9 @@ class TestCoherence:
         assert code == 0
         assert doc["result"]["checks"] == {"coherence": True, "normalization": True}
         assert doc["result"]["violations"] == []
+        assert (doc["result"]["normalization_level"], doc["result"]["normalization_total"]) == (4, "1")
         assert "counts" not in doc["result"] and "counts" not in doc["manifest"]["params"]
+        assert "convention" not in doc["manifest"]["params"]
 
     def test_counts_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -99,18 +112,23 @@ class TestCoherence:
         assert err.value.code == 2
         assert capsys.readouterr().out == ""
 
-    def test_wrong_convention_fails_loudly(self, capsys):
-        code = main(
-            ["coherence-check", "--spec", str(SPECS / "beta_one.spec"), "--q", "2",
-             "--nmax", "4", "--convention", "expand-alpha"]
-        )
-        assert code == 2  # negative cylinder diagnosed as an error
-        code, doc = run_cli(
-            ["coherence-check", "--spec", str(SPECS / "beta_one.spec"), "--q", "2",
-             "--nmax", "4", "--convention", "expand-beta"],
-            capsys,
-        )
-        assert code == 0
+    def test_convention_option_is_gone(self, capsys):
+        for argv in (["cylinder", "--spec", str(SPECS / "beta_one.spec"), "--q", "2", "--rho", "2"],
+                     ["coherence-check", "--spec", str(SPECS / "beta_one.spec"), "--q", "2", "--nmax", "4"]):
+            with pytest.raises(SystemExit) as err:
+                main(argv + ["--convention", "expand-beta"])
+            assert err.value.code == 2
+            assert capsys.readouterr().out == ""
+
+    def test_beta_specs_pass(self, capsys):
+        for name in ("beta_one.spec", "mixed.spec"):
+            for q, nmax in (("2", "6"), ("3", "4")):
+                code, doc = run_cli(
+                    ["coherence-check", "--spec", str(SPECS / name), "--q", q, "--nmax", nmax], capsys
+                )
+                assert code == 0, (name, q)
+                assert doc["result"]["checks"] == {"coherence": True, "normalization": True}
+                assert doc["result"]["normalization_level"] == int(nmax)
 
 
 class TestCharacter:
@@ -276,15 +294,12 @@ class TestLln:
                 assert sigma in covers_up(rho), (trial, n)
                 rho = sigma
 
-    def test_measure_mode_refuses_a_convention_that_does_not_fit(self, capsys):
-        # lln has no --convention flag: a pure-beta point under expand-alpha is refused
-        code = main(["lln", "--mode", "measure", "--spec", str(SPECS / "beta_one.spec"),
-                     "--n", "6", "--trials", "2"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err.startswith("error: negative cylinder value")
-        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    def test_measure_mode_runs_the_beta_point(self, capsys):
+        # the pure-beta measure lives on one-column types: every final type is one column of length n
+        code, doc = run_cli(["lln", "--mode", "measure", "--spec", str(SPECS / "beta_one.spec"),
+                             "--n", "6", "--trials", "2"], capsys)
+        assert code == 0
+        assert doc["result"]["col_freq_means"][0] == 1.0
 
     @pytest.mark.parametrize(
         "flag,value,message",
@@ -519,6 +534,22 @@ class TestUsageErrors:
     def test_rational_at_the_digit_bound(self, capsys):
         assert _rational("1e4299") == 10**4299
         assert _rational("-" + "9" * 4300 + "/" + "7" * 4300) == -Fraction(int("9" * 4300), int("7" * 4300))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cylinder", "--spec", str(SPECS / "two_thirds.spec"), "--q", "5/2", "--rho", "2,1"],
+            ["coherence-check", "--spec", str(SPECS / "two_thirds.spec"), "--q", "5/2", "--nmax", "3"],
+        ],
+    )
+    def test_measure_needs_an_integer_q(self, capsys, argv):
+        # a truncated q once gave a wrong verdict; a rational q builds no measure
+        assert assert_usage_error(argv, capsys) == "error: a central measure needs an integer q, got 5/2\n"
+
+    def test_glb_character_takes_a_rational_q(self, capsys):
+        code, doc = run_cli(["character", "--kind", "glb", "--spec", str(SPECS / "two_thirds.spec"),
+                             "--class", "2,1", "--q", "5/2"], capsys)
+        assert code == 0 and doc["result"]["value"]["value"] == "10/9"
 
     def test_character_at_q_zero(self, capsys):
         argv = ["character", "--kind", "unipotent", "--label", "1", "--class", "1", "--q", "0"]

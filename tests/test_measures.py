@@ -2,10 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from hallq import gflinalg
+from hallq import gflinalg, hloracle, measures
 from hallq.measures import (
-    CONVENTIONS,
-    DEFAULT_CONVENTION,
     FAST_R_ROUTE,
     Q_ROUTE,
     NegativeCylinderError,
@@ -17,7 +15,6 @@ from hallq.measures import (
     cylinder_prob,
     cylinder_prob_fast,
     cylinder_via_q,
-    expand_spec,
     fast_route_available,
     r_function_fast,
     unitriangular_type_counts,
@@ -72,14 +69,14 @@ class TestTwoRoutes:
 
     def test_equality_beta_spec_needs_beta_expansion(self):
         g = GroundParams(2)
-        meas = characteristic_measure(BETA1, g, convention="expand-beta")
+        meas = characteristic_measure(BETA1, g)
         for n in range(0, 6):
             for rho in enumerate_partitions(n):
                 assert cylinder_via_q(meas, rho) == characteristic_cylinder_via_r(BETA1, rho, g)
 
     def test_equality_mixed_spec_needs_both(self):
         g = GroundParams(2)
-        meas = characteristic_measure(MIXED, g, convention="expand-both")
+        meas = characteristic_measure(MIXED, g)
         for n in range(0, 6):
             for rho in enumerate_partitions(n):
                 assert cylinder_via_q(meas, rho) == characteristic_cylinder_via_r(MIXED, rho, g)
@@ -94,16 +91,21 @@ class TestTwoRoutes:
 
 class TestBetaMeasure:
     def test_concentrated_on_one_column_types(self):
-        meas = characteristic_measure(BETA1, GroundParams(2), convention="expand-beta")
+        meas = characteristic_measure(BETA1, GroundParams(2))
         for n in range(0, 6):
             for rho in enumerate_partitions(n):
                 want = F(1) if rho == tuple([1] * n) else F(0)
                 assert cylinder_prob(meas, rho) == want
 
-    def test_wrong_convention_is_diagnosed(self):
-        meas = characteristic_measure(BETA1, GroundParams(2), convention="expand-alpha")
-        with pytest.raises(NegativeCylinderError):
-            cylinder_prob(meas, (2,))
+    def test_negative_value_is_refused(self, monkeypatch):
+        # a negative value is never clamped or remembered, on either route
+        monkeypatch.setattr(measures, "r_function_fast", lambda rho, spec, q: F(-1))
+        monkeypatch.setattr(measures, "cylinder_via_q", lambda meas, rho: F(-1))
+        for spec in (BETA1, MIXED):
+            meas = characteristic_measure(spec, GroundParams(2))
+            with pytest.raises(NegativeCylinderError, match=r"^negative cylinder value -1(/2)? at rho=\(2,\)$"):
+                cylinder_prob(meas, (2,))
+            assert meas.memo == {}
 
 
 class TestCoherence:
@@ -116,7 +118,7 @@ class TestCoherence:
             assert report.ok, report.violations[:3]
 
     def test_beta_measure_coherent(self):
-        meas = characteristic_measure(BETA1, GroundParams(2), convention="expand-beta")
+        meas = characteristic_measure(BETA1, GroundParams(2))
         assert check_coherence(meas, 5).ok
 
     def test_negative_control(self):
@@ -209,46 +211,47 @@ class TestMonotonicityAndDistinctness:
 
 
 class TestConventions:
+    """The measures evaluate at the point the adjudication referee
+    (``hloracle``) picks among the source expansions."""
+
     def test_expand_spec(self):
-        spec = ThomaSpec(alphas=(SpecEntry(F(1, 2)),), betas=(SpecEntry(F(1, 2)),))
-        assert all(e.geometric for e in expand_spec(spec, "expand-alpha").alphas)
-        assert not any(e.geometric for e in expand_spec(spec, "expand-alpha").betas)
-        assert all(e.geometric for e in expand_spec(spec, "expand-beta").betas)
-        assert expand_spec(spec, "expand-none") == spec
-        both = expand_spec(spec, "expand-both")
+        spec = MIXED
+        assert all(e.geometric for e in hloracle.expand_spec(spec, "expand-alpha").alphas)
+        assert not any(e.geometric for e in hloracle.expand_spec(spec, "expand-alpha").betas)
+        assert all(e.geometric for e in hloracle.expand_spec(spec, "expand-beta").betas)
+        assert hloracle.expand_spec(spec, "expand-none") == spec
+        both = hloracle.expand_spec(spec, "expand-both")
         assert all(e.geometric for e in both.alphas + both.betas)
+        assert characteristic_measure(spec, GroundParams(2)).eval_spec == both
         with pytest.raises(ValueError):
-            expand_spec(spec, "nonsense")
+            hloracle.expand_spec(spec, "nonsense")
 
     def test_default_is_adjudicated_winner(self):
-        assert DEFAULT_CONVENTION == "expand-alpha"
-        assert DEFAULT_CONVENTION in CONVENTIONS
+        # on a beta-free label the expand-both point is the expand-alpha point
+        for spec in ALPHA_SPECS:
+            assert characteristic_measure(spec, GroundParams(2)).eval_spec == hloracle.expand_spec(
+                spec, "expand-alpha"
+            )
 
     def test_adjudication_unique_winner(self):
-        """Of the three source conventions, exactly one passes Haar recovery,
+        """Of the three source expansions, exactly one passes Haar recovery,
         coherence and two-route equality on the beta-free corpus."""
-        passing = []
-        for convention in ("expand-alpha", "expand-beta", "expand-none"):
-            ok = True
-            for q in (2, 3):
-                g = GroundParams(q)
-                for spec in (HAAR, ALPHA_SPECS[1]):
-                    meas = characteristic_measure(spec, g, convention)
-                    try:
-                        for n in range(0, 5):
-                            for rho in enumerate_partitions(n):
-                                v = cylinder_via_q(meas, rho)
-                                if spec == HAAR and v != F(1, q ** (n * (n - 1) // 2)):
-                                    ok = False
-                                if v != characteristic_cylinder_via_r(spec, rho, g):
-                                    ok = False
-                        if not check_coherence(meas, 4).ok:
-                            ok = False
-                    except NegativeCylinderError:
-                        ok = False
-            if ok:
-                passing.append(convention)
-        assert passing == ["expand-alpha"]
+        table = hloracle.adjudicate_expansions({"haar": HAAR, "two": ALPHA_SPECS[1]}, 4)
+        assert hloracle.adjudication_winners(table) == ["expand-alpha"]
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_unexpanded_two_atoms_are_another_measure(self, q):
+        # the referee's Q-route at the expand-alpha point gives the measure's
+        # values; at the unexpanded point Q vanishes past two rows, the measure does not
+        g = GroundParams(q)
+        two = ALPHA_SPECS[1]
+        meas = characteristic_measure(two, g)
+        for n in range(6):
+            expanded = hloracle.q_route_cylinders(hloracle.expand_spec(two, "expand-alpha"), g, n)
+            assert expanded == {rho: cylinder_prob(meas, rho) for rho in expanded}
+        unexpanded = hloracle.q_route_cylinders(hloracle.expand_spec(two, "expand-none"), g, 4)
+        assert unexpanded[2, 1, 1] == 0
+        assert cylinder_prob(meas, (2, 1, 1)) == characteristic_cylinder_via_r(two, (2, 1, 1), g) > 0
 
 
 class TestFastRoute:
@@ -307,43 +310,26 @@ class TestFastRoute:
         monkeypatch.setattr(gflinalg, "cover_subspace_weight_sums", None)  # never reached
         assert cover_cylinders(meas, rho)[last] == characteristic_cylinder_via_r(ALPHA_SPECS[1], last, GroundParams(2))
 
-    @pytest.mark.parametrize("spec,convention", [(HAAR, "expand-alpha"), (BETA1, "expand-beta"),
-                                                 (ALPHA_SPECS[1], "expand-none"),
-                                                 (ALPHA_SPECS[2], "expand-alpha")])
-    def test_other_measures_take_one_value_per_cover(self, monkeypatch, spec, convention):
-        meas = characteristic_measure(spec, GroundParams(2), convention)
+    @pytest.mark.parametrize("spec", [HAAR, BETA1, ALPHA_SPECS[2], MIXED])
+    def test_other_measures_take_one_value_per_cover(self, monkeypatch, spec):
+        meas = characteristic_measure(spec, GroundParams(2))
         monkeypatch.setattr(gflinalg, "cover_subspace_weight_sums", None)  # never reached
         assert cover_cylinders(meas, (2, 1)) == {sigma: cylinder_via_q(meas, sigma) for sigma in covers_up((2, 1))}
 
 
 class TestRouteRule:
-    def test_route_follows_label_and_convention(self):
+    def test_route_follows_label(self):
         g = GroundParams(2)
-        two = ALPHA_SPECS[1]
         cases = [
-            (HAAR, "expand-alpha", FAST_R_ROUTE),
-            (two, "expand-alpha", FAST_R_ROUTE),
-            (two, "expand-both", FAST_R_ROUTE),
-            (two, "expand-beta", Q_ROUTE),
-            (two, "expand-none", Q_ROUTE),
-            (BETA1, "expand-beta", FAST_R_ROUTE),
-            (BETA1, "expand-both", FAST_R_ROUTE),
-            (BETA1, "expand-alpha", Q_ROUTE),
-            (BETA1, "expand-none", Q_ROUTE),
-            (ALPHA_SPECS[2], "expand-alpha", Q_ROUTE),
-            (MIXED, "expand-both", Q_ROUTE),
+            (HAAR, FAST_R_ROUTE),
+            (ALPHA_SPECS[1], FAST_R_ROUTE),
+            (ALPHA_SPECS[5], FAST_R_ROUTE),
+            (BETA1, FAST_R_ROUTE),
+            (ALPHA_SPECS[2], Q_ROUTE),
+            (ALPHA_SPECS[3], Q_ROUTE),
+            (MIXED, Q_ROUTE),
         ]
-        for spec, convention, route in cases:
-            assert characteristic_measure(spec, g, convention).route == route, (spec, convention)
-
-    @pytest.mark.parametrize("q", [2, 3])
-    def test_unexpanded_two_atoms_take_the_q_route(self, q):
-        g = GroundParams(q)
-        meas = characteristic_measure(ALPHA_SPECS[1], g, convention="expand-none")
-        values = {rho: cylinder_prob(meas, rho) for n in range(6) for rho in enumerate_partitions(n)}
-        assert values == {rho: cylinder_via_q(meas, rho) for rho in values}
-        # a different measure from the expand-alpha one, which the fast route gives
-        assert values[2, 1, 1] == 0
-        assert characteristic_cylinder_via_r(ALPHA_SPECS[1], (2, 1, 1), g) > 0
+        for spec, route in cases:
+            assert characteristic_measure(spec, g).route == route, spec
         with pytest.raises(ValueError, match="takes the Q-route"):
-            cylinder_prob_fast(meas, (2, 1))
+            cylinder_prob_fast(characteristic_measure(ALPHA_SPECS[2], g), (2, 1))

@@ -344,7 +344,7 @@ class TestMarkov:
             assert sum(rho) == step
 
     def test_dead_branch(self):
-        meas = characteristic_measure(BETA1, GroundParams(2), convention="expand-beta")
+        meas = characteristic_measure(BETA1, GroundParams(2))
         rng = CounterRng(1)
         with pytest.raises(DeadBranchError):
             markov_step((2,), meas, rng, 0, 1)
@@ -410,7 +410,7 @@ class TestMarkov:
         assert done.stdout.startswith("raised: conditional law sums to"), done.stdout
 
     def test_beta_measure_forced_path(self):
-        meas = characteristic_measure(BETA1, GroundParams(2), convention="expand-beta")
+        meas = characteristic_measure(BETA1, GroundParams(2))
         rng = CounterRng(1)
         rho = ()
         for step in range(1, 8):
@@ -480,15 +480,6 @@ class TestRuns:
         pooled = run_lln(dataclasses.replace(cfg, threads=2))
         assert pooled.records == first.records
         assert pooled.to_json() == first.to_json()
-
-    def test_measure_mode_follows_the_convention(self):
-        cfg = SamplerConfig(mode="measure", q=2, n_max=8, trials=6, seed=5, spec=TWO, snapshot_every=1)
-        expanded = run_lln(cfg)
-        unexpanded = run_lln(dataclasses.replace(cfg, convention="expand-none"))
-        assert [r.snapshots for r in unexpanded.records] != [r.snapshots for r in expanded.records]
-        # Q at the two unexpanded atoms vanishes past two rows
-        assert all(len(r.final_rows) <= 2 for r in unexpanded.records)
-        assert any(len(r.final_rows) > 2 for r in expanded.records)
 
     def test_worker_error_propagates_without_serial_rerun(self, monkeypatch):
         monkeypatch.setattr(sampler, "run_trials", _run_trials_failing_in_workers)
