@@ -3,14 +3,17 @@
 Field elements are ints 0..q-1; for prime q this is arithmetic mod p, for
 prime powers the int encodes a polynomial over F_p (base-p digits, low degree
 first) reduced modulo a fixed irreducible polynomial embedded below, so that
-matrix-level results are reproducible across machines.
+matrix-level results are reproducible across machines; ``poly_mul`` and
+``poly_divmod`` over F_p build the multiplication table.
 
 Matrices are immutable tuples of row tuples wrapped in ``MatGF``.  Ranks,
 Jordan types, primary partitions and the sampler's explicit-matrix engine
 share one span kernel for every q: packed vectors (an int bitmask at q = 2,
 an entry tuple without trailing zeros otherwise), ``combine`` for x·v from
 the packed columns of x, the incremental echelon basis ``Span``, and
-``image_filtration`` for the images of the powers of x.  The brute-force
+``image_filtration`` for the images of the powers of x.  A primary
+partition of a class type reads the images of the powers of f(g), whose
+packed columns come from ``combine`` alone.  The brute-force
 oracles (``extension_counts``, ``count_unitriangular_by_type``) classify the
 packed columns of x = u - I with ``nilpotent_type``: each column b of an
 extension is taken in packed form and each matrix of the census is a tuple
@@ -22,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from math import isqrt
 
 from .partitions import Partition, added_column, conjugate, covers_up, validate_partition
 
@@ -37,8 +41,15 @@ _IRREDUCIBLE = {
 }
 
 
-def _factor_prime_power(q: int) -> tuple[int, int]:
-    p = next(d for d in range(2, q + 1) if q % d == 0)
+PRIME_POWER_BOUND = 2**32  # trial division up to sqrt(q) takes at most 2^16 steps
+
+
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, e) with q = p^e and p prime; ValueError when q is not a prime
+    power or not below PRIME_POWER_BOUND.  Trial division runs up to sqrt(q)."""
+    if not 2 <= q < PRIME_POWER_BOUND:
+        raise ValueError("q must be an integer with 2 <= q < 2^32")
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
     e, m = 0, q
     while m % p == 0:
         m //= p
@@ -55,7 +66,7 @@ class FieldCtx:
         if not 2 <= q <= 256:
             raise ValueError("q must be between 2 and 256")
         self.q = q
-        self.p, self.e = _factor_prime_power(q)
+        self.p, self.e = prime_power(q)
         elems = range(q)
         if self.e == 1:
             self._add_table = [[(a + b) % q for b in elems] for a in elems]
@@ -69,7 +80,12 @@ class FieldCtx:
             self._add_table = [
                 [self._undigits([(x + y) % self.p for x, y in zip(da, db)]) for db in digits] for da in digits
             ]
-            self._mul_table = self._build_mul_table()
+            prime = field(self.p)
+            polys = [poly_trim(da) for da in digits]
+            self._mul_table = [
+                [self._undigits(poly_divmod(poly_mul(da, db, prime), self.modulus, prime)[1]) for db in polys]
+                for da in polys
+            ]
         self._neg_table = [row.index(0) for row in self._add_table]
         self._inv_table = self._build_inv_table()
         self._spot_check()
@@ -88,31 +104,6 @@ class FieldCtx:
         for d in reversed(ds):
             out = out * self.p + d
         return out
-
-    def _build_mul_table(self):
-        p, e = self.p, self.e
-        mod = self.modulus
-        table = [[0] * self.q for _ in range(self.q)]
-        for a in range(self.q):
-            da = self._digits(a)
-            for b in range(a, self.q):
-                db = self._digits(b)
-                prod = [0] * (2 * e - 1)
-                for i, x in enumerate(da):
-                    if x:
-                        for j, y in enumerate(db):
-                            prod[i + j] = (prod[i + j] + x * y) % p
-                # reduce modulo the fixed irreducible polynomial
-                for i in range(len(prod) - 1, e - 1, -1):
-                    c = prod[i]
-                    if c:
-                        prod[i] = 0
-                        for j, m in enumerate(mod[:-1]):
-                            prod[i - e + j] = (prod[i - e + j] - c * m) % p
-                v = self._undigits(prod[:e])
-                table[a][b] = v
-                table[b][a] = v
-        return table
 
     def _build_inv_table(self):
         inv = [0] * self.q
@@ -237,14 +228,6 @@ def mat_mul(a: MatGF, b: MatGF) -> MatGF:
             new.append(acc)
         out.append(tuple(new))
     return MatGF(tuple(out), a.q)
-
-
-def mat_add(a: MatGF, b: MatGF) -> MatGF:
-    ctx = a.ctx
-    return MatGF(
-        tuple(tuple(ctx.add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a.rows, b.rows)),
-        a.q,
-    )
 
 
 def mat_vec(a: MatGF, v: tuple[int, ...]) -> tuple[int, ...]:
@@ -528,19 +511,6 @@ def irreducible_polys(d: int, q: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def poly_eval_matrix(f, m: MatGF) -> MatGF:
-    """f(m) by Horner's rule."""
-    ctx = m.ctx
-    n = m.n_rows
-    acc = MatGF(tuple(tuple(0 for _ in range(n)) for _ in range(n)), m.q)
-    for c in reversed(f):
-        acc = mat_mul(acc, m)
-        if c:
-            scaled = tuple(tuple(ctx.mul(c, int(i == j)) for j in range(n)) for i in range(n))
-            acc = mat_add(acc, MatGF(scaled, m.q))
-    return acc
-
-
 def char_poly(m: MatGF) -> tuple[int, ...]:
     """Characteristic polynomial det(tI - m), monic, low degree first.
 
@@ -635,6 +605,7 @@ def conj_class_type(g: MatGF) -> dict[tuple[int, ...], Partition]:
     ctx = g.ctx
     if rank(g) != n:
         raise ValueError("matrix is singular")
+    gcols = _packed_columns(g)
     remaining = char_poly(g)
     out: dict[tuple[int, ...], Partition] = {}
     for d in range(1, n // 2 + 1):
@@ -651,20 +622,29 @@ def conj_class_type(g: MatGF) -> dict[tuple[int, ...], Partition]:
                 remaining = quot
                 mult += 1
             if mult:
-                out[f] = _primary_partition(g, f, d)
+                out[f] = _primary_partition(gcols, f, g.q)
     if len(remaining) > 1:
-        f = remaining
-        d = len(f) - 1
-        out[f] = _primary_partition(g, f, d)
+        out[remaining] = _primary_partition(gcols, remaining, g.q)
     total = sum((len(f) - 1) * sum(mu) for f, mu in out.items())
     if total != n:
         raise ArithmeticError(f"class type {out} has size {total}, the matrix has size {n}")
     return out
 
 
-def _primary_partition(g: MatGF, f, d: int) -> Partition:
-    rows = _pack_rows(poly_eval_matrix(f, g))
-    return _type_from_ranks([g.n_rows] + [span.dim for span in image_filtration(rows, g.q)], d)
+def _primary_partition(gcols, f, q: int) -> Partition:
+    """The partition of f in the class type of the matrix g with packed
+    columns gcols, from the images of the powers of f(g).  Column j of f(g)
+    combines the Krylov vectors e_j, g e_j, ..., g^(deg f) e_j with the
+    coefficients of f."""
+    n, d = len(gcols), len(f) - 1
+    coeffs = pack(f, q)
+    fcols = []
+    for j in range(n):
+        krylov = [pack([int(i == j) for i in range(n)], q)]
+        for _ in range(d):
+            krylov.append(combine(gcols, krylov[-1], q))
+        fcols.append(combine(krylov, coeffs, q))
+    return _type_from_ranks([n] + [span.dim for span in image_filtration(fcols, q)], d)
 
 
 def class_type_key(ct: dict[tuple[int, ...], Partition]) -> tuple:
@@ -676,9 +656,9 @@ def class_type_key(ct: dict[tuple[int, ...], Partition]) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _xi_columns(u: MatGF) -> list:
-    """Packed columns of x = u - I for a square u."""
-    return _pack_rows(MatGF(tuple(zip(*u.rows)), u.q), 1)
+def _packed_columns(m: MatGF, shift: int = 0) -> list:
+    """Packed columns of the square matrix m - shift·I."""
+    return _pack_rows(MatGF(tuple(zip(*m.rows)), m.q), shift)
 
 
 def _packed_vectors(n: int, q: int):
@@ -695,7 +675,7 @@ def extend_type(u: MatGF, b: tuple[int, ...]) -> Partition:
     n = u.n_rows
     if u.n_cols != n or len(b) != n or any(not 0 <= x < u.q for x in b):
         raise ValueError("extend_type needs a square matrix and one field entry per row")
-    return nilpotent_type(_xi_columns(u) + [pack(b, u.q)], u.q)
+    return nilpotent_type(_packed_columns(u, 1) + [pack(b, u.q)], u.q)
 
 
 def canonical_unipotent(rho: Partition, q: int) -> MatGF:
@@ -722,7 +702,7 @@ def extension_counts(rho: Partition, q: int) -> dict[Partition, int]:
     closed-form counts; it has no production caller.
     """
     rho = validate_partition(rho)
-    xi = _xi_columns(canonical_unipotent(rho, q))
+    xi = _packed_columns(canonical_unipotent(rho, q), 1)
     counts: dict[Partition, int] = {}
     for b in _packed_vectors(len(xi), q):
         sigma = nilpotent_type(xi + [b], q)

@@ -28,7 +28,7 @@ from itertools import permutations
 from typing import Sequence
 
 from . import gflinalg, measures, symfun
-from .partitions import Partition, enumerate_partitions, n_stat, partition_index, validate_partition
+from .partitions import Partition, enumerate_partitions, partition_index, validate_partition
 from .symfun import GroundParams, SpecEntry, ThomaSpec
 
 # A semistandard tableau, stored row by row.
@@ -365,17 +365,6 @@ def expand_spec(spec: ThomaSpec, expansion: str) -> ThomaSpec:
     return spec
 
 
-def q_route_cylinders(point: ThomaSpec, ground: GroundParams, n: int) -> dict[Partition, Fraction]:
-    """q^(-n(n-1)/2) t^(-n(rho)) (1-t)^(-n) Q_rho(point; t) for every rho of
-    size n: the Q-route of ``measures.cylinder_via_q`` at an explicit point."""
-    t = ground.t
-    if n == 0:
-        return {(): Fraction(1)}
-    values = symfun.evaluate_rows(symfun.hl_q_in_p(n, t), point, t, n)
-    scale = 1 / (ground.q ** (n * (n - 1) // 2) * (1 - t) ** n)
-    return {rho: scale * v / t ** n_stat(rho) for rho, v in zip(enumerate_partitions(n), values)}
-
-
 def adjudicate_expansions(corpus: dict[str, ThomaSpec], n_max: int) -> dict[str, dict[str, bool]]:
     """Each source expansion's verdicts (``VERDICTS``) on the corpus, at q = 2
     and q = 3, for every type of size <= n_max: coherence under one-column
@@ -387,9 +376,12 @@ def adjudicate_expansions(corpus: dict[str, ThomaSpec], n_max: int) -> dict[str,
         for q in (2, 3):
             ground = GroundParams(q)
             for spec in corpus.values():
-                values = {}
-                for n in range(n_max + 1):
-                    values.update(q_route_cylinders(expand_spec(spec, expansion), ground, n))
+                point = expand_spec(spec, expansion)
+                values = {
+                    rho: measures.q_route_value(rho, point, ground)
+                    for n in range(n_max + 1)
+                    for rho in enumerate_partitions(n)
+                }
                 checks = {
                     "coherence": all(
                         v == sum((c * values[sigma] for sigma, c in gflinalg.extension_counts_closed(rho, q).items()),

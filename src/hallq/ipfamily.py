@@ -231,9 +231,6 @@ class GroupAlgElem:
     group: FiniteGroupTable
     coeffs: tuple[tuple[int, Fraction], ...]
 
-    def coeff_map(self) -> dict[int, Fraction]:
-        return dict(self.coeffs)
-
     @staticmethod
     def from_map(group: FiniteGroupTable, coeffs: dict[int, Fraction]) -> "GroupAlgElem":
         items = tuple(sorted((i, Fraction(c)) for i, c in coeffs.items() if c))

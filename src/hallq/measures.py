@@ -72,8 +72,9 @@ class CentralMeasure:
     The rest is derived: ``eval_spec`` is the label with every alpha and
     beta atom expanded, ``memo`` starts empty, and ``route`` is
     ``FAST_R_ROUTE`` when the label has a fast r-route, else ``Q_ROUTE``.
-    The ground field must have an integer q: the extension counts and the
-    fast r-route count subspaces over F_q.
+    The ground field must have a prime-power q below
+    ``gflinalg.PRIME_POWER_BOUND``: the extension counts and the fast
+    r-route count subspaces over F_q.
     """
 
     label: ThomaSpec
@@ -86,11 +87,9 @@ class CentralMeasure:
         self.label.require_normalized()
         if self.ground.q.denominator != 1:
             raise ValueError(f"a central measure needs an integer q, got {self.ground.q}")
+        gflinalg.prime_power(int(self.ground.q))
         self.eval_spec = symfun.geometric_merge_beta(symfun.geometric_merge(self.label))
         self.route = FAST_R_ROUTE if fast_route_available(self.label) else Q_ROUTE
-
-    def cylinder(self, rho: Partition) -> Fraction:
-        return cylinder_prob(self, rho)
 
 
 def characteristic_measure(spec: ThomaSpec, ground: GroundParams) -> CentralMeasure:
@@ -146,17 +145,23 @@ def cover_cylinders(meas: CentralMeasure, rho: Partition) -> dict[Partition, Fra
 
 
 def cylinder_via_q(meas: CentralMeasure, rho: Partition) -> Fraction:
-    """The Q-route, whatever the measure's route, unmemoized:
-    q^(-n(n-1)/2) t^(-n(rho)) (1-t)^(-n) Q_rho(eval_spec; t)."""
+    """The Q-route, whatever the measure's route, unmemoized: its value at
+    the measure's ``eval_spec``."""
+    return q_route_value(rho, meas.eval_spec, meas.ground)
+
+
+def q_route_value(rho: Partition, point: ThomaSpec, ground: GroundParams) -> Fraction:
+    """The Q-route at an explicit point, for one type:
+    q^(-n(n-1)/2) t^(-n(rho)) (1-t)^(-n) Q_rho(point; t)."""
     rho = validate_partition(rho)
     n = sum(rho)
     check_degree(n)
     if n == 0:
         return Fraction(1)
-    t = meas.ground.t
+    t = ground.t
     row = symfun.hl_q_in_p(n, t)[partition_index(n)[rho]]
-    (q_value,) = symfun.evaluate_rows((row,), meas.eval_spec, t, n)
-    return _level_factor(meas.ground.q, n) * q_value / (t ** n_stat(rho) * (1 - t) ** n)
+    (q_value,) = symfun.evaluate_rows((row,), point, t, n)
+    return _level_factor(ground.q, n) * q_value / (t ** n_stat(rho) * (1 - t) ** n)
 
 
 def characteristic_cylinder_via_r(spec: ThomaSpec, rho: Partition, ground: GroundParams) -> Fraction:

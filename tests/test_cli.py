@@ -83,6 +83,16 @@ class TestCylinder:
         assert doc["result"]["checks"]["two_route_equal"] is True
         assert "convention" not in doc["result"] and "convention" not in doc["manifest"]["params"]
 
+    @pytest.mark.parametrize("q,value", [("4", "13/576"), ("9", "23/6561"), ("17", "13/14739"),
+                                         ("257", "173/50923779")])
+    def test_prime_power_q_gives_values(self, capsys, q, value):
+        code, doc = run_cli(["cylinder", "--spec", str(SPECS / "two_thirds.spec"), "--q", q, "--rho", "2,1"], capsys)
+        assert code == 0 and doc["result"]["checks"]["two_route_equal"] is True
+        assert doc["result"]["value_num"] + "/" + doc["result"]["value_den"] == value
+        code, doc = run_cli(["coherence-check", "--spec", str(SPECS / "three_atoms.spec"), "--q", q, "--nmax", "3"],
+                            capsys)
+        assert code == 0 and doc["result"]["checks"] == {"coherence": True, "normalization": True}
+
     def test_deterministic_payload(self, capsys):
         argv = ["cylinder", "--spec", str(SPECS / "fifths.spec"), "--q", "2", "--rho", "2,2"]
         _, d1 = run_cli(argv, capsys)
@@ -521,7 +531,7 @@ class TestUsageErrors:
         [
             (["kostka-foulkes", "--n", "3", "--t", "1e2000"],  # the entry t^3 has 6001 digits
              "error: output value of about 6000 digits is over the 4300-digit limit on printed rationals\n"),
-            (["cylinder", "--spec", str(SPECS / "haar.spec"), "--q", "1e1500", "--rho", "2,1"],
+            (["character", "--kind", "unipotent", "--label", "1,1,1", "--class", "1,1,1", "--q", "1e1500"],
              "error: output value of about 4500 digits is over the 4300-digit limit on printed rationals\n"),
             (["character", "--kind", "unipotent", "--label", "1,1,1", "--class", "1,1,1", "--q", "1e300"],
              "error: output value of about 900 digits is beyond the float range of its decimal annotation\n"),
@@ -545,6 +555,19 @@ class TestUsageErrors:
     def test_measure_needs_an_integer_q(self, capsys, argv):
         # a truncated q once gave a wrong verdict; a rational q builds no measure
         assert assert_usage_error(argv, capsys) == "error: a central measure needs an integer q, got 5/2\n"
+
+    @pytest.mark.parametrize("q", ["6", "10"])
+    @pytest.mark.parametrize("command,extra", [("cylinder", ["--rho", "2,1"]), ("coherence-check", ["--nmax", "4"])])
+    def test_measure_needs_a_prime_power_q(self, capsys, command, extra, q):
+        # there is no field F_6, so no measure on matrices over it
+        argv = [command, "--spec", str(SPECS / "two_thirds.spec"), "--q", q] + extra
+        assert assert_usage_error(argv, capsys) == f"error: {q} is not a prime power\n"
+
+    @pytest.mark.parametrize("q", ["4294967296", "1e1500"])
+    def test_measure_q_is_bounded(self, capsys, q):
+        # the prime-power check is decided below 2^32, never on a huge q
+        argv = ["cylinder", "--spec", str(SPECS / "haar.spec"), "--q", q, "--rho", "2,1"]
+        assert assert_usage_error(argv, capsys) == "error: q must be an integer with 2 <= q < 2^32\n"
 
     def test_glb_character_takes_a_rational_q(self, capsys):
         code, doc = run_cli(["character", "--kind", "glb", "--spec", str(SPECS / "two_thirds.spec"),

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import permutations, product
 
@@ -8,6 +9,7 @@ from hallq.gflinalg import (
     all_subspaces,
     block_diag,
     canonical_unipotent,
+    class_type_key,
     char_poly,
     combine,
     companion_matrix,
@@ -25,7 +27,6 @@ from hallq.gflinalg import (
     invariant_subspaces,
     irreducible_polys,
     jordan_type_unipotent,
-    mat_add,
     mat_from_rows,
     mat_from_text,
     mat_inv,
@@ -33,10 +34,10 @@ from hallq.gflinalg import (
     mat_vec,
     nilpotent_type,
     pack,
-    poly_eval_matrix,
     poly_from_text,
     poly_mul,
     poly_to_text,
+    prime_power,
     primary_element,
     rank,
     submodule_type_count,
@@ -45,6 +46,19 @@ from hallq.gflinalg import (
 )
 from hallq.partitions import conjugate, covers_up, enumerate_partitions, gaussian_binomial
 from hallq.sampler import SamplerConfig, run_trials
+
+# sha256 of each embedded prime-power field's tables: a + b and a * b for
+# every pair (a, b) in row order, then the inverse of every a != 0, one byte
+# per entry.  A rewrite of the field construction must keep every table.
+FIELD_TABLE_DIGESTS = {
+    4: "076e114a7772cf31cf7c1af1d443aad40970fcacdfc496554e8c8478b03c208c",
+    8: "a1c6c222c49c2ba4d1e2ab86c825695b4ee3326c1e1b5c55314bac013411e084",
+    9: "c68b5d4ad513b7a82d62afb28aeee93983024f155dd24f58ddaf3179a282ba6c",
+    16: "e2f81284389ed72871fe803726a26e86f517dc915f0622980fed551ea792e52c",
+    25: "0df0cfa0581f87de28b026a4d36b8562b2c6bb6668cb431c72ca74c12de31895",
+    27: "eefbdf4fb9f0131ad562db7e722a34f2f1f4429a66838413f079158966c621fd",
+    49: "68bfa4c18be18ca681f63694184ad5594a5b61c16547a6a94d5643562c9969b9",
+}
 
 
 class TestField:
@@ -76,6 +90,29 @@ class TestField:
     def test_unsupported(self):
         with pytest.raises(ValueError):
             field(6)
+
+    @pytest.mark.parametrize("q", sorted(FIELD_TABLE_DIGESTS))
+    def test_prime_power_tables_are_pinned(self, q):
+        ctx = field(q)
+        elems = range(q)
+        data = bytes(ctx.add(a, b) for a in elems for b in elems)
+        data += bytes(ctx.mul(a, b) for a in elems for b in elems)
+        data += bytes(ctx.inv(a) for a in range(1, q))
+        assert hashlib.sha256(data).hexdigest() == FIELD_TABLE_DIGESTS[q]
+
+    def test_prime_power(self):
+        assert prime_power(2) == (2, 1)
+        assert prime_power(256) == (2, 8)
+        assert prime_power(257) == (257, 1)
+        assert prime_power(3**20) == (3, 20)
+        assert prime_power(65521**2) == (65521, 2)  # the largest prime below 2^16, squared
+        assert prime_power(2**32 - 5) == (2**32 - 5, 1)  # the largest prime below 2^32
+        for q in (6, 10, 12, 2 * 3**19, 65519 * 65521):
+            with pytest.raises(ValueError, match=f"^{q} is not a prime power$"):
+                prime_power(q)
+        for q in (-4, 0, 1, 2**32, 10**4000):
+            with pytest.raises(ValueError, match="2 <= q < 2\\^32"):
+                prime_power(q)
 
     def test_every_prime_field_builds(self):
         primes = [q for q in range(2, 257) if all(q % d for d in range(2, q))]
@@ -277,6 +314,22 @@ class TestJordan:
         assert jordan_type_unipotent(mat_from_rows([[0, 1], [1, 0]], 2)) == (2,)
 
 
+def _primary_from_explicit_powers(g, f):
+    """The partition of f in the class type of g from rank f(g)^k, with f(g)
+    built by Horner's rule and each power by ``mat_mul``: the referee of the
+    Krylov columns of ``conj_class_type``."""
+    n, ctx, d = g.n_rows, g.ctx, len(f) - 1
+    fg = mat_from_rows([[0] * n for _ in range(n)], g.q)
+    for c in reversed(f):
+        rows = mat_mul(fg, g).rows
+        fg = mat_from_rows([[ctx.add(x, c * (i == j)) for j, x in enumerate(row)] for i, row in enumerate(rows)], g.q)
+    ranks, power = [n], identity(n, g.q)
+    while len(ranks) < 2 or ranks[-1] < ranks[-2]:
+        power = mat_mul(power, fg)
+        ranks.append(rank(power))
+    return conjugate(tuple((a - b) // d for a, b in zip(ranks, ranks[1:]) if a > b))
+
+
 class TestConjClassType:
     def test_examples(self):
         assert conj_class_type(identity(2, 2)) == {(1, 1): (1, 1)}
@@ -302,6 +355,19 @@ class TestConjClassType:
     def test_singular_rejected(self):
         with pytest.raises(ValueError):
             conj_class_type(mat_from_rows([[0, 0], [0, 0]], 2))
+
+    @pytest.mark.parametrize("n,q,classes", [(2, 2, 3), (3, 2, 6), (2, 3, 8), (2, 4, 15)])
+    def test_class_numbers(self, n, q, classes):
+        # GL_n(F_q) has this many conjugacy classes; every element's class
+        # type is also read off explicit matrix powers of f(g)
+        types = set()
+        for entries in product(range(q), repeat=n * n):
+            g = mat_from_rows([entries[i * n : (i + 1) * n] for i in range(n)], q)
+            if rank(g) == n:
+                ct = conj_class_type(g)
+                assert ct == {f: _primary_from_explicit_powers(g, f) for f in ct}, g
+                types.add(class_type_key(ct))
+        assert len(types) == classes
 
     def test_conjugation_invariance(self):
         rng = random.Random(5)
@@ -331,12 +397,6 @@ class TestPolys:
     def test_text(self):
         assert poly_from_text("111") == (1, 1, 1)
         assert poly_to_text((1, 1, 1)) == "111"
-
-    def test_eval_matrix(self):
-        q = 2
-        g = companion_matrix((1, 1, 1), q)
-        fg = poly_eval_matrix((1, 1, 1), g)  # its own characteristic polynomial
-        assert all(x == 0 for row in fg.rows for x in row)
 
 
 class TestExtensions:
@@ -486,10 +546,10 @@ class TestClosedFormReferee:
 
 
 def _type_from_explicit_powers(u):
-    """Jordan type of a unipotent u from rank (u - I)^k, with x = u - I and
-    each power built by ``mat_add`` and ``mat_mul``."""
+    """Jordan type of a unipotent u from rank (u - I)^k, with x = u - I
+    built entry by entry and each power by ``mat_mul``."""
     n, ctx = u.n_rows, u.ctx
-    x = mat_add(u, mat_from_rows([[ctx.neg(int(i == j)) for j in range(n)] for i in range(n)], u.q))
+    x = mat_from_rows([[ctx.sub(u[i, j], int(i == j)) for j in range(n)] for i in range(n)], u.q)
     ranks, power = [n], identity(n, u.q)
     for _ in range(n):
         power = mat_mul(power, x)
@@ -667,7 +727,7 @@ class TestPrimary:
         assert conj_class_type(g) == {(1, 1, 1): (1,)}
 
     def test_round_trip(self):
-        for q in (2,):
+        for q in (2, 3, 4):
             for d in (1, 2, 3):
                 for f in irreducible_polys(d, q):
                     if f == (0, 1):

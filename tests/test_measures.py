@@ -246,11 +246,11 @@ class TestConventions:
         g = GroundParams(q)
         two = ALPHA_SPECS[1]
         meas = characteristic_measure(two, g)
+        expanded = hloracle.expand_spec(two, "expand-alpha")
         for n in range(6):
-            expanded = hloracle.q_route_cylinders(hloracle.expand_spec(two, "expand-alpha"), g, n)
-            assert expanded == {rho: cylinder_prob(meas, rho) for rho in expanded}
-        unexpanded = hloracle.q_route_cylinders(hloracle.expand_spec(two, "expand-none"), g, 4)
-        assert unexpanded[2, 1, 1] == 0
+            for rho in enumerate_partitions(n):
+                assert measures.q_route_value(rho, expanded, g) == cylinder_prob(meas, rho)
+        assert measures.q_route_value((2, 1, 1), hloracle.expand_spec(two, "expand-none"), g) == 0
         assert cylinder_prob(meas, (2, 1, 1)) == characteristic_cylinder_via_r(two, (2, 1, 1), g) > 0
 
 

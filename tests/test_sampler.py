@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from hallq import gflinalg, sampler
-from hallq.measures import DeadBranchError, characteristic_measure
+from hallq.measures import DeadBranchError, characteristic_measure, cylinder_prob
 from hallq.partitions import added_column, conjugate, covers_up, enumerate_partitions
 from hallq.sampler import (
     ConditionalLawError,
@@ -331,9 +331,9 @@ class TestMarkov:
         for n in range(0, 7):
             for rho in enumerate_partitions(n):
                 counts = gflinalg.extension_counts(rho, 2)
-                m_rho = meas.cylinder(rho)
+                m_rho = cylinder_prob(meas, rho)
                 for sigma, c in counts.items():
-                    assert F(c) * meas.cylinder(sigma) / m_rho == F(c, 2**n)
+                    assert F(c) * cylinder_prob(meas, sigma) / m_rho == F(c, 2**n)
 
     def test_step_support(self):
         meas = characteristic_measure(TWO, GroundParams(2))
