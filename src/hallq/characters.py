@@ -129,21 +129,11 @@ def glb_character_via_induced(spec: EvalPoint, rho: Partition, ground: GroundPar
 
 
 def validate_class_type(phi: ConjClassType, q: int) -> int:
-    """Check the size identity and irreducibility of each polynomial; return
-    the total matrix size."""
-    total = 0
-    for f, mu in phi.items():
-        f = gflinalg.poly_trim(f)
-        d = len(f) - 1
-        if d < 1:
-            raise ValueError("constant polynomial in class type")
-        if f == (0, 1):
-            raise ValueError("the polynomial t may not appear")
-        if f not in gflinalg.irreducible_polys(d, q):
-            raise ValueError(f"{f} is not irreducible over F_{q}")
-        validate_partition(mu)
-        total += d * sum(mu)
-    return total
+    """Check each polynomial (``gflinalg.validate_class_polynomial``) and
+    partition; return the total matrix size."""
+    return sum(
+        (len(gflinalg.validate_class_polynomial(f, q)) - 1) * sum(validate_partition(mu)) for f, mu in phi.items()
+    )
 
 
 def glb_character_general(spec: EvalPoint, phi: ConjClassType, ground: GroundParams) -> Fraction:

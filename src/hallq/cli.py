@@ -18,12 +18,7 @@ from math import log10
 
 from . import __version__, characters, gflinalg, grassmann, ipfamily, measures, sampler, symfun
 from .partitions import conjugate, enumerate_partitions, format_partition, gaussian_binomial, parse_partition
-from .symfun import GroundParams, ThomaSpec, load_spec
-
-
-# Python's default limit on the digits of an int written as text: a larger
-# numerator or denominator could not be printed in the output.
-MAX_RATIONAL_DIGITS = 4300
+from .symfun import MAX_RATIONAL_DIGITS, GroundParams, ThomaSpec, load_spec, parse_rational
 
 
 def _frac(x: Fraction) -> str:
@@ -71,32 +66,6 @@ def parse_class_type(text: str) -> dict:
     return out
 
 
-def _rational(text: str) -> Fraction:
-    """An exact rational from text such as "1/2" or "2.5e-3"; ValueError on
-    bad text, a zero denominator, or a numerator or denominator that would
-    exceed MAX_RATIONAL_DIGITS digits.
-
-    That bound is checked on the text, before the number is built: each side
-    of "a/b" counts its digits, and a decimal counts the digits of its
-    mantissa (at least one before the point) plus the size of its exponent.
-    """
-    mantissa, _, exponent = text.lower().partition("e")
-    whole, _, decimals = mantissa.partition(".")
-    digits = [sum(ch.isdigit() for ch in side) for side in whole.split("/")]
-    try:
-        shift = abs(int(exponent)) if exponent else 0
-    except ValueError:
-        raise ValueError(f"not a rational: {text[:40]!r}") from None
-    if max(max(digits), 1) + sum(ch.isdigit() for ch in decimals) + shift > MAX_RATIONAL_DIGITS:
-        raise ValueError(
-            f"rational input {text[:40]!r} would have more than {MAX_RATIONAL_DIGITS} digits"
-        )
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
-
-
 def _manifest(args, timing_s: float) -> dict:
     return {
         "command": args.command,
@@ -122,7 +91,7 @@ def _emit(payload: dict, args) -> None:
 
 def _load_spec_arg(args) -> tuple[ThomaSpec, GroundParams]:
     spec, q_file = load_spec(args.spec)
-    q = _rational(args.q) if args.q is not None else q_file
+    q = parse_rational(args.q) if args.q is not None else q_file
     if q is None:
         raise ValueError("missing q: pass --q or store it in the spec file")
     return spec, GroundParams(q)
@@ -134,7 +103,7 @@ def _load_spec_arg(args) -> tuple[ThomaSpec, GroundParams]:
 
 
 def cmd_kostka_foulkes(args) -> tuple[dict, bool]:
-    t = _rational(args.t)
+    t = parse_rational(args.t)
     parts = enumerate_partitions(args.n)
     matrix = symfun.kostka_foulkes(args.n, t)
     return {
@@ -187,7 +156,7 @@ def cmd_coherence_check(args) -> tuple[dict, bool]:
 
 
 def cmd_character(args) -> tuple[dict, bool]:
-    q = _rational(args.q)
+    q = parse_rational(args.q)
     if args.kind == "glb":
         if args.spec is None or (args.cls is None and not args.class_type):
             raise ValueError("--kind glb needs --spec and one of --class, --class-type")

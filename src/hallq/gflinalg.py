@@ -485,30 +485,40 @@ def poly_to_text(c) -> str:
 
 @lru_cache(maxsize=None)
 def irreducible_polys(d: int, q: int) -> tuple[tuple[int, ...], ...]:
-    """All monic irreducible polynomials of degree d over F_q, by sieving."""
-    ctx = field(q)
+    """All monic irreducible polynomials of degree d over F_q, by sieving the
+    monic candidates with ``is_irreducible``.  Degree 1 includes t; callers
+    that need the class-label set exclude it themselves."""
+    field(q)  # ValueError unless F_q is supported
     if d < 1:
         raise ValueError("degree must be >= 1")
-    out = []
-    for tail in product(range(q), repeat=d):
-        f = tail + (1,)
-        if d == 1:
-            # every monic linear polynomial, including t; callers that need
-            # the class-label set exclude t themselves
-            out.append(poly_trim(f))
-            continue
-        divisible = False
-        for dd in range(1, d // 2 + 1):
-            for g in irreducible_polys(dd, q):
-                _, rem = poly_divmod(f, g, ctx)
-                if not rem:
-                    divisible = True
-                    break
-            if divisible:
-                break
-        if not divisible:
-            out.append(poly_trim(f))
-    return tuple(out)
+    return tuple(f for f in (tail + (1,) for tail in product(range(q), repeat=d)) if is_irreducible(f, q))
+
+
+def is_irreducible(f, q: int) -> bool:
+    """Whether f, of degree >= 1 over F_q, has no monic irreducible factor of
+    degree at most deg f / 2, by trial division against the sieve."""
+    ctx = field(q)
+    return not any(
+        not poly_divmod(f, g, ctx)[1] for e in range(1, (len(f) - 1) // 2 + 1) for g in irreducible_polys(e, q)
+    )
+
+
+def validate_class_polynomial(f, q: int) -> tuple[int, ...]:
+    """f without trailing zeros; ValueError unless it is a monic irreducible
+    polynomial over F_q other than t, as a class type needs."""
+    f = poly_trim(f)
+    if len(f) < 2:
+        raise ValueError("constant polynomial in class type")
+    if f == (0, 1):
+        raise ValueError("the polynomial t may not appear")
+    field(q)  # ValueError unless F_q is supported
+    if not all(0 <= c < q for c in f):
+        raise ValueError(f"{f} has a coefficient outside F_{q}")
+    if f[-1] != 1:
+        raise ValueError(f"{f} is not monic")
+    if not is_irreducible(f, q):
+        raise ValueError(f"{f} is not irreducible over F_{q}")
+    return f
 
 
 def char_poly(m: MatGF) -> tuple[int, ...]:
@@ -1045,14 +1055,7 @@ def companion_matrix(f, q: int) -> MatGF:
 def primary_element(f, mu: Partition, q: int) -> MatGF:
     """Block matrix of class {f -> mu}, companion blocks of f^(mu_i)."""
     ctx = field(q)
-    f = poly_trim(f)
-    d = len(f) - 1
-    if d < 1:
-        raise ValueError("constant polynomial")
-    if f == (0, 1):
-        raise ValueError("the polynomial t is excluded")
-    if f not in irreducible_polys(d, q):
-        raise ValueError("polynomial is not irreducible")
+    f = validate_class_polynomial(f, q)
     mu = validate_partition(mu)
     blocks = [companion_matrix(poly_pow(f, m, ctx), q) for m in mu]
     return block_diag(blocks, q)

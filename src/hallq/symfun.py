@@ -203,6 +203,37 @@ def geometric_merge_beta(spec: ThomaSpec) -> ThomaSpec:
 # ---------------------------------------------------------------------------
 
 
+# Python's default limit on the digits of an int written as text: a larger
+# numerator or denominator could not be printed in the output.
+MAX_RATIONAL_DIGITS = 4300
+
+
+def parse_rational(text: str) -> Fraction:
+    """An exact rational from text such as "1/2" or "2.5e-3"; ValueError on
+    bad text, a zero denominator, or a numerator or denominator that would
+    exceed MAX_RATIONAL_DIGITS digits.
+
+    That bound is checked on the text, before the number is built: each side
+    of "a/b" counts its digits, and a decimal counts the digits of its
+    mantissa (at least one before the point) plus the size of its exponent.
+    """
+    mantissa, _, exponent = text.lower().partition("e")
+    whole, _, decimals = mantissa.partition(".")
+    digits = [sum(ch.isdigit() for ch in side) for side in whole.split("/")]
+    try:
+        shift = abs(int(exponent)) if exponent else 0
+    except ValueError:
+        raise ValueError(f"not a rational: {text[:40]!r}") from None
+    if max(max(digits), 1) + sum(ch.isdigit() for ch in decimals) + shift > MAX_RATIONAL_DIGITS:
+        raise ValueError(
+            f"rational input {text[:40]!r} would have more than {MAX_RATIONAL_DIGITS} digits"
+        )
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def spec_to_dict(spec: ThomaSpec, q: Rational | None = None) -> dict:
     doc = {
         "alphas": [{"value": str(e.value), "geometric": e.geometric} for e in spec.alphas],
@@ -216,14 +247,17 @@ def spec_to_dict(spec: ThomaSpec, q: Rational | None = None) -> dict:
 
 def spec_from_dict(doc: Mapping) -> tuple[ThomaSpec, Fraction | None]:
     """The point and stored q (or None) of a spec document; ValueError if it
-    is not an object or has a missing or ill-typed field."""
+    is not an object or has a missing or ill-typed field.  A string value is
+    read by ``parse_rational``, a JSON number by ``Fraction``."""
 
     def rational(x, where: str) -> Fraction:
         try:
-            if isinstance(x, (str, int, float)) and not isinstance(x, bool):
+            if isinstance(x, str):
+                return parse_rational(x)
+            if isinstance(x, (int, float)) and not isinstance(x, bool):
                 return Fraction(x)
-        except (ValueError, ZeroDivisionError, OverflowError):
-            pass
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"malformed spec file: {where} is not a finite rational: {exc}") from None
         raise ValueError(f"malformed spec file: {where} is not a finite rational: {x!r}")
 
     def entries(key):

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 from hallq import measures
-from hallq.cli import _rational, main, parse_class_type
+from hallq.cli import main, parse_class_type
 from hallq.partitions import conjugate, covers_up
+from hallq.symfun import parse_rational
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -542,8 +543,8 @@ class TestUsageErrors:
         assert assert_usage_error(argv, capsys) == message
 
     def test_rational_at_the_digit_bound(self, capsys):
-        assert _rational("1e4299") == 10**4299
-        assert _rational("-" + "9" * 4300 + "/" + "7" * 4300) == -Fraction(int("9" * 4300), int("7" * 4300))
+        assert parse_rational("1e4299") == 10**4299
+        assert parse_rational("-" + "9" * 4300 + "/" + "7" * 4300) == -Fraction(int("9" * 4300), int("7" * 4300))
 
     @pytest.mark.parametrize(
         "argv",

@@ -8,10 +8,10 @@ from fractions import Fraction
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hallq.cli import _rational, main, parse_class_type
+from hallq.cli import main, parse_class_type
 from hallq.gflinalg import mat_from_text
 from hallq.partitions import parse_partition
-from hallq.symfun import spec_from_dict
+from hallq.symfun import parse_rational, spec_from_dict
 
 # arbitrary text, and text over the parsers' own alphabet
 TEXTS = st.text() | st.text(alphabet="0123456789,;:/-. ")
@@ -41,7 +41,7 @@ def test_parse_class_type(text):
 
 @given(TEXTS)
 def test_rational(text):
-    parses_or_raises_value_error(_rational, text)
+    parses_or_raises_value_error(parse_rational, text)
 
 
 JSON = st.recursive(
