@@ -483,14 +483,23 @@ def poly_to_text(c) -> str:
     return "".join(str(x) for x in c) if c else "0"
 
 
+# The sieve of degree d tests q^d monic candidates; 2^14 of them take 1-2 s
+# at q = 2, 3, 4, 5 and 7.
+SIEVE_BUDGET = 2**14
+
+
 @lru_cache(maxsize=None)
 def irreducible_polys(d: int, q: int) -> tuple[tuple[int, ...], ...]:
     """All monic irreducible polynomials of degree d over F_q, by sieving the
-    monic candidates with ``is_irreducible``.  Degree 1 includes t; callers
-    that need the class-label set exclude it themselves."""
+    monic candidates with ``is_irreducible``; ValueError past SIEVE_BUDGET
+    candidates.  Degree 1 includes t; callers that need the class-label set
+    exclude it themselves."""
     field(q)  # ValueError unless F_q is supported
     if d < 1:
         raise ValueError("degree must be >= 1")
+    if d >= SIEVE_BUDGET.bit_length() or q**d > SIEVE_BUDGET:
+        raise ValueError(f"the {q}^{d} monic polynomials of degree {d} over F_{q} are over the budget "
+                         f"of {SIEVE_BUDGET} sieve candidates")
     return tuple(f for f in (tail + (1,) for tail in product(range(q), repeat=d)) if is_irreducible(f, q))
 
 
@@ -785,10 +794,21 @@ VALIDATED_FAST_COUNTS = {2: 10, 3: 8}
 # ---------------------------------------------------------------------------
 
 
+# Each subspace scans all q^n vectors for its extensions, so the work grows
+# with q^n times the number of subspaces: 2^20 vectors scanned take about 3 s
+# (F_3^5: 2664 subspaces of 243 vectors).  A bound on the count alone would
+# admit F_251^2, which takes 28 s with 254 subspaces.
+SUBSPACE_SCAN_BUDGET = 2**20
+
+
 @lru_cache(maxsize=None)
 def all_subspaces(n: int, q: int) -> tuple[tuple[frozenset, int], ...]:
-    """Every subspace of F_q^n as (vector set, dimension), all dimensions."""
+    """Every subspace of F_q^n as (vector set, dimension), all dimensions;
+    ValueError past SUBSPACE_SCAN_BUDGET."""
     ctx = field(q)
+    if n >= SUBSPACE_SCAN_BUDGET.bit_length() or q**n * sum(_q_binomial_row(n, q)) > SUBSPACE_SCAN_BUDGET:
+        raise ValueError(f"F_{q}^{n} has sum_k [{n}, k]_{q} subspaces; scanning {q}^{n} vectors for each "
+                         f"is over the budget of {SUBSPACE_SCAN_BUDGET} vectors scanned")
     vectors = list(product(range(q), repeat=n))
     zero = tuple(0 for _ in range(n))
     seen: set[frozenset] = {frozenset([zero])}

@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
+from math import factorial
 from typing import Callable
 
 from . import gflinalg
@@ -79,9 +80,19 @@ class FiniteGroupTable:
                 raise ValueError(f"{label}: element {i} times its inverse {self.inverse[i]} is not {e}")
 
 
+# The largest tables a level builds.  Each check runs over pairs of elements
+# and caches their products: S_5 wr Z/2 (3840 elements) takes 9 s, and
+# S_2 wr Z/40 (3200 elements) takes 88 s and 1.2 GiB.
+GROUP_BUDGET = 1000
+# GL_3(F_3), from 3^9 candidate matrices, takes 19 s and 130 MiB.
+MATRIX_BUDGET = 20_000
+
+
 def cyclic_group(m: int) -> FiniteGroupTable:
     if m < 1:
         raise ValueError(f"cyclic group order must be at least 1, got {m}")
+    if m > GROUP_BUDGET:
+        raise ValueError(f"Z/{m} has {m} elements, over the budget of {GROUP_BUDGET}")
     return FiniteGroupTable(
         range(m),
         mul=lambda a, b: (a + b) % m,
@@ -131,6 +142,9 @@ class IPLevel:
 
 
 def _all_invertible(n: int, q: int) -> list[MatGF]:
+    gflinalg.field(q)  # ValueError unless F_q is supported
+    if n * n >= MATRIX_BUDGET.bit_length() or q ** (n * n) > MATRIX_BUDGET:
+        raise ValueError(f"the {q}^{n * n} matrices of size {n} over F_{q} are over the budget of {MATRIX_BUDGET}")
     out = []
     for entries in product(range(q), repeat=n * n):
         rows = tuple(tuple(entries[i * n + j] for j in range(n)) for i in range(n))
@@ -151,6 +165,8 @@ def gl_group(n: int, q: int) -> FiniteGroupTable:
 
 
 def _gl_level(m: int, q: int, affine: bool) -> IPLevel:
+    if m < 0:
+        raise ValueError(f"tower level m must be >= 0, got {m}")
     G = gl_group(m + 1, q)
     G_prev = gl_group(m, q)
     P = []
@@ -182,6 +198,8 @@ def wreath_group(m: int, coeff: FiniteGroupTable) -> FiniteGroupTable:
     Elements are (perm, values); the product follows matrix composition:
     (s, u)(t, v) = (t o s, (u_i v_{s(i)})_i).
     """
+    if m > GROUP_BUDGET or factorial(m) * len(coeff) ** m > GROUP_BUDGET:
+        raise ValueError(f"S_{m} wr {coeff.name} has {m}! * {len(coeff)}^{m} elements, over the budget of {GROUP_BUDGET}")
     elems = [
         (perm, vals)
         for perm in permutations(range(m))
@@ -207,6 +225,8 @@ def wreath_group(m: int, coeff: FiniteGroupTable) -> FiniteGroupTable:
 
 def build_wreath_ip_level(m: int, coeff: FiniteGroupTable) -> IPLevel:
     """Last row and column vanish except a coefficient in the corner."""
+    if m < 0:
+        raise ValueError(f"tower level m must be >= 0, got {m}")
     G = wreath_group(m + 1, coeff)
     G_prev = wreath_group(m, coeff)
     P = []

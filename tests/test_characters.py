@@ -231,6 +231,30 @@ class TestGlbCharacters:
         with pytest.raises(ValueError):
             validate_class_type({(1, 0, 1): (1,)}, 2)  # t^2+1 = (t+1)^2 over F_2
 
+    @pytest.mark.parametrize(
+        "f,q,message",
+        [
+            ((1,), 2, "constant polynomial in class type"),
+            ((0, 1), 2, "the polynomial t may not appear"),
+            ((1, 0, 1), 2, "(1, 0, 1) is not irreducible over F_2"),  # t^2+1 = (t+1)^2 over F_2
+            ((1, 2), 3, "(1, 2) is not monic"),  # 1 + 2t has degree 1, so only its lead is wrong
+            ((1, 3), 3, "(1, 3) has a coefficient outside F_3"),
+        ],
+    )
+    def test_both_entry_points_reject_alike(self, f, q, message):
+        for check in (lambda: validate_class_type({f: (1,)}, q), lambda: primary_element(f, (1,), q)):
+            with pytest.raises(ValueError) as err:
+                check()
+            assert str(err.value) == message
+
+    def test_degree_16_class_type_skips_its_own_sieve(self):
+        # x^16 + x^5 + x^3 + x^2 + 1 is tried against the sieves of degree
+        # 1..8 only; the 2^16 candidates of degree 16 are never built
+        f = (1, 0, 1, 1, 0, 1) + (0,) * 10 + (1,)
+        gflinalg.irreducible_polys.cache_clear()
+        assert validate_class_type({f: (1,)}, 2) == 16
+        assert gflinalg.irreducible_polys.cache_info().currsize == 8
+
 
 def _conj_type_of(g):
     return gflinalg.conj_class_type(g)

@@ -445,6 +445,53 @@ class TestOtherCommands:
         assert err.value.code == 2
 
 
+GLB = ["character", "--kind", "glb", "--spec", str(SPECS / "two_thirds.spec")]
+NEGATIVE_M = "tower level m must be >= 0, got -1"
+OVERSIZED = "is not a finite rational: rational input '1e3000000' would have more than 4300 digits"
+
+
+class TestExitTwoContract:
+    """Bad input exits 2 with one "error:" line and no traceback, before any
+    long enumeration starts."""
+
+    SPEC_FILES = {
+        "alpha_spec": '{"alphas": [{"value": "1e3000000"}], "q": "2"}',
+        "q_spec": '{"alphas": [{"value": "1"}], "q": "1e3000000"}',
+    }
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["ipfamily-check", "--example", "gl", "--m", "-1", "--q", "2"], NEGATIVE_M),
+            (["ipfamily-check", "--example", "affine", "--m", "-1", "--q", "2"], NEGATIVE_M),
+            (["ipfamily-check", "--example", "wreath", "--m", "-1"], NEGATIVE_M),
+            (["cylinder", "--spec", "{alpha_spec}", "--rho", "1"], f"malformed spec file: alphas value {OVERSIZED}"),
+            (["cylinder", "--spec", "{q_spec}", "--rho", "1"], f"malformed spec file: q {OVERSIZED}"),
+            (GLB + ["--q", "2", "--class-type", "1:1"], "constant polynomial in class type"),
+            (GLB + ["--q", "2", "--class-type", "01:1"], "the polynomial t may not appear"),
+            (GLB + ["--q", "2", "--class-type", "101:1"], "(1, 0, 1) is not irreducible over F_2"),
+            (GLB + ["--q", "3", "--class-type", "12:1"], "(1, 2) is not monic"),
+            # one request past each enumeration budget
+            (["grassmann", "--n", "7", "--k", "3", "--q", "2"],
+             "F_2^7 has sum_k [7, k]_2 subspaces; scanning 2^7 vectors for each is over the budget "
+             "of 1048576 vectors scanned"),
+            (["ipfamily-check", "--example", "gl", "--m", "3", "--q", "2"],
+             "the 2^16 matrices of size 4 over F_2 are over the budget of 20000"),
+            (["ipfamily-check", "--example", "wreath", "--m", "4"],
+             "S_5 wr Z/2 has 5! * 2^5 elements, over the budget of 1000"),
+            (GLB + ["--q", "251", "--class-type", "10001:1"],  # t^4 + 1 has no root mod 251
+             "the 251^2 monic polynomials of degree 2 over F_251 are over the budget of 16384 sieve candidates"),
+        ],
+    )
+    def test_exits_2_with_one_error_line(self, capsys, tmp_path, argv, message):
+        paths = {}
+        for name, text in self.SPEC_FILES.items():
+            paths[name] = tmp_path / f"{name}.spec"
+            paths[name].write_text(text)
+        err = assert_usage_error([arg.format(**paths) for arg in argv], capsys)
+        assert err == f"error: {message}\n" and "Traceback" not in err
+
+
 class TestUsageErrors:
     """Inputs that once ended in a traceback, exit 1 or a wrong answer."""
 

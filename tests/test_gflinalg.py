@@ -26,6 +26,7 @@ from hallq.gflinalg import (
     invariant_subspace_counts,
     invariant_subspaces,
     irreducible_polys,
+    is_irreducible,
     jordan_type_unipotent,
     mat_from_rows,
     mat_from_text,
@@ -394,6 +395,72 @@ class TestPolys:
         assert len(irreducible_polys(2, 3)) == 3
         assert len(irreducible_polys(3, 3)) == 8
 
+    # sha256 of repr(irreducible_polys(d, q)), pinned from the nested-loop
+    # sieve that preceded is_irreducible: same polynomials, same order
+    SIEVE_DIGESTS = {
+        (1, 2): "e98d6cce866fc0edf81ed208d4c110826f76942e771aab485568825afd1bcbed",
+        (2, 2): "89a85041fcc644c58c69094bcaf9a212a0fb6d8c6af2a46e7b1a7153e12de6ba",
+        (3, 2): "d4bdfb950fdaa87b298c9802a0ed8af68b45709408f45badde3b67ce236798dd",
+        (4, 2): "8ff5052bcbea9905d16c98dc67e774d382adf96b5e3ce3d99fbbbc932f998bc4",
+        (5, 2): "76f21b8f2a49fda8badf9fb18d880fc03a7c67bb4816777c5fc0bd89947674c9",
+        (6, 2): "b44b6493ac89d9a9c3c6654a5888e1790769ea76e341b942a71da94b7b2d837d",
+        (1, 3): "95d73a17dde27333de0e8efe824380846ccb53511537c6a413d9eb7fdc3a0257",
+        (2, 3): "eb03b7de4ea7016ec0ada7e0bf3a19ac49e645a5239ca69f634149606f47a1b3",
+        (3, 3): "aab726c128e274bb07d0f67defa2e74c2dec1623be4da70c70c2c89a272c0d2e",
+        (4, 3): "ec9a3c9b08973761eefe8b5dc30f7bae0cad6b4e66d90842a98d3813a83623bf",
+        (5, 3): "406af08752db2f6bf618014a139b57806779a127f8b9d516c14ca5c0665e7a60",
+        (6, 3): "9076dbaa2b7d588120f40bfef899d441d1ea321cfaefe197b498f6c343e936d0",
+        (1, 4): "d126bd207d7ff2bd81fa9f3ce8429ae6186c673b991fb5528f388fc184b08c68",
+        (2, 4): "c70602ebec7ed258663c13643429d75e534a73bc88fe3e526bcf9c8825e72bc7",
+        (3, 4): "39be4f81080557dcfe6048e5858fcf5fd4ebef486150e5f1d0589b7a01dd9ea7",
+        (4, 4): "9bbe4002ecf1f77a2c2c0c0d3005cbd2aea06a68d7d2f1434246066590612cee",
+        (5, 4): "a2755d877012d9013ea63c07af23037b465dc8c4e8b2640b5e909235b37e6bb1",
+        (6, 4): "bf37a6984a89987658424c881ee1cc2e82f4efe4dabb140fd2245ba3229a3710",
+    }
+
+    def test_sieve_is_pinned(self):
+        for (d, q), digest in self.SIEVE_DIGESTS.items():
+            assert hashlib.sha256(repr(irreducible_polys(d, q)).encode()).hexdigest() == digest, (d, q)
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_sieve_counts_follow_gauss(self, q):
+        def mobius(n):
+            out, p = 1, 2
+            while n > 1:
+                if n % p == 0:
+                    n //= p
+                    if n % p == 0:
+                        return 0
+                    out = -out
+                p += 1
+            return out
+
+        for d in range(2, 7):
+            count = sum(mobius(e) * q ** (d // e) for e in range(1, d + 1) if d % e == 0)
+            assert len(irreducible_polys(d, q)) * d == count
+
+    @pytest.mark.parametrize("q,top", [(2, 7), (3, 4), (4, 3)])
+    def test_is_irreducible_decides_the_sieve(self, q, top):
+        # referee: f is reducible when it is a product of two monic
+        # polynomials of positive degree
+        ctx = field(q)
+
+        def monic(d):
+            return [tail + (1,) for tail in product(range(q), repeat=d)]
+
+        for d in range(1, top + 1):
+            products = {poly_mul(g, h, ctx) for e in range(1, d // 2 + 1) for g in monic(e) for h in monic(d - e)}
+            sieve = set(irreducible_polys(d, q))
+            for f in monic(d):
+                assert is_irreducible(f, q) == (f in sieve) == (f not in products), f
+
+    def test_sieve_budget(self):
+        assert len(irreducible_polys(14, 2)) == 1161
+        with pytest.raises(ValueError, match=r"the 2\^15 monic polynomials of degree 15 over F_2 are over the budget"):
+            irreducible_polys(15, 2)
+        with pytest.raises(ValueError, match=r"the 251\^2 monic polynomials"):
+            irreducible_polys(2, 251)
+
     def test_text(self):
         assert poly_from_text("111") == (1, 1, 1)
         assert poly_to_text((1, 1, 1)) == "111"
@@ -621,6 +688,11 @@ class TestFlagsAndSubspaces:
             spaces = all_subspaces(n, q)
             for k in range(n + 1):
                 assert sum(1 for _, d in spaces if d == k) == gaussian_binomial(n, k, q)
+
+    @pytest.mark.parametrize("n,q", [(7, 2), (6, 3), (2, 251), (21, 2)])
+    def test_subspace_budget(self, n, q):
+        with pytest.raises(ValueError, match=rf"F_{q}\^{n} has sum_k \[{n}, k\]_{q} subspaces; .* over the budget"):
+            all_subspaces(n, q)
 
     @pytest.mark.parametrize("q", [4, 5])
     def test_subspace_counts_prime_power(self, q):

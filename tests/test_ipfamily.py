@@ -53,6 +53,28 @@ class TestLevels:
         assert len(lvl.N) == 1
         assert len(lvl.G) == 6  # S_3
 
+    @pytest.mark.parametrize(
+        "build", [build_gl_ip_level, build_affine_ip_level, lambda m, q: build_wreath_ip_level(m, cyclic_group(q))]
+    )
+    def test_negative_level_is_refused(self, build):
+        with pytest.raises(ValueError, match="tower level m must be >= 0, got -1"):
+            build(-1, 2)
+
+    def test_enumeration_budgets(self):
+        # GL_3(F_3) (3^9 candidates) and S_3 wr Z/2 are the largest the
+        # tests build; one step past each budget is refused before it starts
+        with pytest.raises(ValueError, match=r"the 2\^16 matrices of size 4 over F_2 are over the budget"):
+            build_gl_ip_level(3, 2)
+        with pytest.raises(ValueError, match=r"the 13\^4 matrices of size 2 over F_13"):
+            build_gl_ip_level(1, 13)
+        with pytest.raises(ValueError, match=r"S_5 wr Z/2 has 5! \* 2\^5 elements, over the budget of 1000"):
+            wreath_group(5, cyclic_group(2))
+        with pytest.raises(ValueError, match=r"S_1001 wr Z/1"):
+            wreath_group(1001, cyclic_group(1))
+        with pytest.raises(ValueError, match="Z/1001 has 1001 elements, over the budget of 1000"):
+            cyclic_group(1001)
+        assert len(wreath_group(3, cyclic_group(5))) == 750
+
     def test_bookkeeping_identity(self):
         for lvl in (
             build_gl_ip_level(1, 2),

@@ -261,6 +261,27 @@ class TestSpecFiles:
         again, q = spec_from_dict(spec_to_dict(spec))
         assert again == spec and q is None
 
+    def test_json_numbers_and_shipped_specs_read_as_fractions(self):
+        spec, q = spec_from_dict({"alphas": [{"value": 0.5}], "betas": [{"value": 1}], "gamma": 0, "q": 2})
+        assert spec.alphas[0].value == F(1, 2) and spec.betas[0].value == 1 and q == 2
+        specs = sorted((Path(__file__).resolve().parent.parent / "specs").glob("*.spec"))
+        assert len(specs) == 7
+        for path in specs:
+            doc = json.loads(path.read_text())
+            spec, q = load_spec(path)
+            for key, entries in (("alphas", spec.alphas), ("betas", spec.betas)):
+                want = sorted((F(e["value"]), e.get("geometric", False)) for e in doc.get(key, []))
+                assert sorted((e.value, e.geometric) for e in entries) == want
+            assert spec.gamma == F(doc.get("gamma", "0"))
+            assert q == (F(doc["q"]) if "q" in doc else None)
+
+    @pytest.mark.parametrize("key", ["gamma", "q"])
+    def test_string_values_share_the_digit_bound(self, key):
+        with pytest.raises(ValueError) as err:
+            spec_from_dict({key: "1e3000000"})
+        assert str(err.value) == (f"malformed spec file: {key} is not a finite rational: "
+                                  "rational input '1e3000000' would have more than 4300 digits")
+
     def test_mass_validation(self):
         with pytest.raises(ValueError):
             ThomaSpec(alphas=(SpecEntry(F(1, 2)),)).require_normalized()
