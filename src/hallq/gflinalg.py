@@ -497,7 +497,7 @@ def irreducible_polys(d: int, q: int) -> tuple[tuple[int, ...], ...]:
     field(q)  # ValueError unless F_q is supported
     if d < 1:
         raise ValueError("degree must be >= 1")
-    if d >= SIEVE_BUDGET.bit_length() or q**d > SIEVE_BUDGET:
+    if d >= SIEVE_BUDGET.bit_length() or q**d > SIEVE_BUDGET:  # q >= 2: a huge d never builds q**d
         raise ValueError(f"the {q}^{d} monic polynomials of degree {d} over F_{q} are over the budget "
                          f"of {SIEVE_BUDGET} sieve candidates")
     return tuple(f for f in (tail + (1,) for tail in product(range(q), repeat=d)) if is_irreducible(f, q))
@@ -806,6 +806,7 @@ def all_subspaces(n: int, q: int) -> tuple[tuple[frozenset, int], ...]:
     """Every subspace of F_q^n as (vector set, dimension), all dimensions;
     ValueError past SUBSPACE_SCAN_BUDGET."""
     ctx = field(q)
+    # q >= 2, so a huge n is over the budget before q^n or its q-binomials are built
     if n >= SUBSPACE_SCAN_BUDGET.bit_length() or q**n * sum(_q_binomial_row(n, q)) > SUBSPACE_SCAN_BUDGET:
         raise ValueError(f"F_{q}^{n} has sum_k [{n}, k]_{q} subspaces; scanning {q}^{n} vectors for each "
                          f"is over the budget of {SUBSPACE_SCAN_BUDGET} vectors scanned")

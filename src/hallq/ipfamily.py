@@ -143,6 +143,7 @@ class IPLevel:
 
 def _all_invertible(n: int, q: int) -> list[MatGF]:
     gflinalg.field(q)  # ValueError unless F_q is supported
+    # q >= 2, so a huge n is over the budget before q^(n^2) is built
     if n * n >= MATRIX_BUDGET.bit_length() or q ** (n * n) > MATRIX_BUDGET:
         raise ValueError(f"the {q}^{n * n} matrices of size {n} over F_{q} are over the budget of {MATRIX_BUDGET}")
     out = []
@@ -198,8 +199,10 @@ def wreath_group(m: int, coeff: FiniteGroupTable) -> FiniteGroupTable:
     Elements are (perm, values); the product follows matrix composition:
     (s, u)(t, v) = (t o s, (u_i v_{s(i)})_i).
     """
+    # m! >= m, so a huge m is over the budget before m! is built
     if m > GROUP_BUDGET or factorial(m) * len(coeff) ** m > GROUP_BUDGET:
-        raise ValueError(f"S_{m} wr {coeff.name} has {m}! * {len(coeff)}^{m} elements, over the budget of {GROUP_BUDGET}")
+        raise ValueError(f"S_{m} wr {coeff.name} has {m}! * {len(coeff)}^{m} elements, "
+                         f"over the budget of {GROUP_BUDGET}")
     elems = [
         (perm, vals)
         for perm in permutations(range(m))

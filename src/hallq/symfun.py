@@ -232,6 +232,8 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+    except ValueError:
+        raise ValueError(f"not a rational: {text[:40]!r}") from None
 
 
 def spec_to_dict(spec: ThomaSpec, q: Rational | None = None) -> dict:
@@ -257,7 +259,7 @@ def spec_from_dict(doc: Mapping) -> tuple[ThomaSpec, Fraction | None]:
             if isinstance(x, (int, float)) and not isinstance(x, bool):
                 return Fraction(x)
         except (ValueError, OverflowError) as exc:
-            raise ValueError(f"malformed spec file: {where} is not a finite rational: {exc}") from None
+            raise ValueError(f"malformed spec file: {where}: {exc}") from None
         raise ValueError(f"malformed spec file: {where} is not a finite rational: {x!r}")
 
     def entries(key):

@@ -447,7 +447,7 @@ class TestOtherCommands:
 
 GLB = ["character", "--kind", "glb", "--spec", str(SPECS / "two_thirds.spec")]
 NEGATIVE_M = "tower level m must be >= 0, got -1"
-OVERSIZED = "is not a finite rational: rational input '1e3000000' would have more than 4300 digits"
+OVERSIZED = "rational input '1e3000000' would have more than 4300 digits"
 
 
 class TestExitTwoContract:
@@ -465,8 +465,8 @@ class TestExitTwoContract:
             (["ipfamily-check", "--example", "gl", "--m", "-1", "--q", "2"], NEGATIVE_M),
             (["ipfamily-check", "--example", "affine", "--m", "-1", "--q", "2"], NEGATIVE_M),
             (["ipfamily-check", "--example", "wreath", "--m", "-1"], NEGATIVE_M),
-            (["cylinder", "--spec", "{alpha_spec}", "--rho", "1"], f"malformed spec file: alphas value {OVERSIZED}"),
-            (["cylinder", "--spec", "{q_spec}", "--rho", "1"], f"malformed spec file: q {OVERSIZED}"),
+            (["cylinder", "--spec", "{alpha_spec}", "--rho", "1"], f"malformed spec file: alphas value: {OVERSIZED}"),
+            (["cylinder", "--spec", "{q_spec}", "--rho", "1"], f"malformed spec file: q: {OVERSIZED}"),
             (GLB + ["--q", "2", "--class-type", "1:1"], "constant polynomial in class type"),
             (GLB + ["--q", "2", "--class-type", "01:1"], "the polynomial t may not appear"),
             (GLB + ["--q", "2", "--class-type", "101:1"], "(1, 0, 1) is not irreducible over F_2"),

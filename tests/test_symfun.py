@@ -276,11 +276,18 @@ class TestSpecFiles:
             assert q == (F(doc["q"]) if "q" in doc else None)
 
     @pytest.mark.parametrize("key", ["gamma", "q"])
-    def test_string_values_share_the_digit_bound(self, key):
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("1e3000000", "rational input '1e3000000' would have more than 4300 digits"),
+            ("x" * 10**6, f"not a rational: {'x' * 40!r}"),  # quoted in part, not in full
+        ],
+        ids=["oversized", "not_a_rational"],
+    )
+    def test_string_values_share_the_parser(self, key, text, message):
         with pytest.raises(ValueError) as err:
-            spec_from_dict({key: "1e3000000"})
-        assert str(err.value) == (f"malformed spec file: {key} is not a finite rational: "
-                                  "rational input '1e3000000' would have more than 4300 digits")
+            spec_from_dict({key: text})
+        assert str(err.value) == f"malformed spec file: {key}: {message}"
 
     def test_mass_validation(self):
         with pytest.raises(ValueError):
