@@ -4,6 +4,7 @@
 Grows Jordan types of Haar-random unitriangular matrices over F_2 and
 compares mean row frequencies against the geometric targets (1-t) t^(k-1),
 printing the full gate table.  Runtime is seconds with the chain engine.
+Exits 0 when the gate passes, 1 when it fails and 2 on bad input.
 """
 
 import argparse
@@ -27,10 +28,14 @@ def main() -> int:
     ap.add_argument("--out", help="write the full JSON report here")
     args = ap.parse_args()
 
-    config = SamplerConfig(
-        mode="haar", engine=args.engine, q=args.q, n_max=args.n,
-        trials=args.trials, seed=args.seed,
-    )
+    try:
+        config = SamplerConfig(
+            mode="haar", engine=args.engine, q=args.q, n_max=args.n,
+            trials=args.trials, seed=args.seed,
+        )
+    except ValueError as exc:  # exit 1 means a failed gate
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     report = run_lln(config)
     gate = report.gate()
     print(f"Haar growth: q={args.q} n={args.n} trials={args.trials} seed={args.seed}")

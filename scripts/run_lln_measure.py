@@ -28,11 +28,15 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
 
-    spec, _ = load_spec(args.spec)
-    config = SamplerConfig(
-        mode="measure", q=args.q, n_max=args.n, trials=args.trials,
-        seed=args.seed, spec=spec,
-    )
+    try:
+        spec, _ = load_spec(args.spec)
+        config = SamplerConfig(
+            mode="measure", q=args.q, n_max=args.n, trials=args.trials,
+            seed=args.seed, spec=spec,
+        )
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     report = run_lln(config)
     t = Fraction(1, args.q)
     row_t = expected_frequency_multiset(spec, t, config.k_max)

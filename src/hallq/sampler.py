@@ -3,10 +3,10 @@
 Three engines:
 
 * ``chain``  — samples the exact induced Markov chain on Jordan types for the
-  Haar measure.  One box is added per step; the column is read off a
-  geometric variable (the count of leading zero base-q digits of the random
-  stream), which reproduces the column law t^(rho'_j) - t^(rho'_{j-1})
-  exactly.
+  Haar measure, keeping the type by rows.  One box is added per step, to the
+  first column of length at most z, the count of leading zero base-q digits
+  of the step's stream, read in place from its block 0; this reproduces the
+  column law t^(rho'_j) - t^(rho'_{j-1}) exactly.
 * ``matrix`` — grows an explicit unitriangular matrix one uniform column at a
   time.  The strictly-triangular part is stored by packed columns, so the
   new column is appended as it is, and each new column is classified
@@ -50,13 +50,12 @@ import json
 import os
 import struct
 from array import array
-from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count
 from math import lcm, sqrt
-from operator import neg
 from typing import Optional
 
 from . import gflinalg, measures
@@ -67,6 +66,16 @@ from .symfun import SpecEntry, ThomaSpec
 
 # the data of block i of the stream for (trial, step): trial || step || i
 _COUNTERS = struct.Struct("<3Q")
+
+
+@lru_cache(maxsize=None)
+def _zero_run(q: int) -> tuple[bytes, bytes]:
+    """For each byte value, the zero base-q digits it adds to the stream's
+    leading run, and 1 if it ends the run by holding a nonzero digit."""
+    if q == 2:  # a nonzero byte ends the run after its trailing zero bits
+        return bytes([8] + [(b & -b).bit_length() - 1 for b in range(1, 256)]), bytes([0] + [1] * 255)
+    limit = (256 // q) * q  # larger bytes are skipped
+    return bytes(b < limit and not b % q for b in range(256)), bytes(b < limit and b % q > 0 for b in range(256))
 
 
 class CounterRng:
@@ -92,23 +101,15 @@ class CounterRng:
     def leading_zero_count(self, trial: int, step: int, q: int, cap: int) -> int:
         """Number of leading zero digits of the base-q stream, capped at
         cap >= 0."""
+        if cap < 0:
+            raise ValueError(f"leading_zero_count needs cap >= 0, got cap {cap}")
+        zeros, ends = _zero_run(q)
         z = 0
-        if q == 2:  # the trailing zero bits of the first nonzero byte end the run
-            for index in count():
-                for byte in self.block(trial, step, index):
-                    if byte:
-                        z += (byte & -byte).bit_length() - 1
-                        return z if z < cap else cap
-                    z += 8
-                if z >= cap:
-                    return cap
-        limit = (256 // q) * q
         for index in count():
             for byte in self.block(trial, step, index):
-                if byte < limit:
-                    if byte % q or z >= cap:
-                        return z
-                    z += 1
+                z += zeros[byte]
+                if ends[byte] or z >= cap:
+                    return min(z, cap)
 
     def uniform_below(self, trial: int, step: int, bound: int) -> int:
         """Uniform integer in [0, bound): successive chunks of
@@ -149,18 +150,35 @@ class CounterRng:
 # ---------------------------------------------------------------------------
 
 
-def chain_haar_step(cols: list[int], z: int) -> int:
-    """Add one box given the geometric draw z; returns the column index.
-
-    The box goes to the first column j with cols[j-1] <= z, which happens
-    with probability t^(cols_j) - t^(cols_{j-1}) as required.  The column
-    lengths decrease, so a bisection on their negatives finds it.
+def chain_haar_trial(rng: CounterRng, trial: int, n: int, q: int) -> tuple[array, list[int]]:
+    """One trial of the Haar chain: the box column of each of its n steps,
+    and its final type by rows.  Step s counts the leading zero digits z of
+    its stream in block 0, in place, and calls ``leading_zero_count(trial,
+    s, q, len(rows) + 1)`` only when that block holds no nonzero digit.  The
+    box goes to the first column of length at most z: column rows[z] + 1
+    (1 when z >= len(rows)), in the first row k <= z with rows[k] == rows[z].
     """
-    j = bisect_left(cols, -z, key=neg)
-    if j == len(cols):
-        cols.append(0)
-    cols[j] += 1
-    return j + 1
+    copy, pack, (zeros, ends) = rng._keyed.copy, _COUNTERS.pack, _zero_run(q)
+    path, rows = array("I"), []
+    for step in range(1, n + 1):
+        h = copy()
+        h.update(pack(trial, step, 0))
+        z = 0
+        for byte in h.digest():
+            z += zeros[byte]
+            if ends[byte]:
+                break
+        else:
+            z = rng.leading_zero_count(trial, step, q, len(rows) + 1)
+        if z >= len(rows):
+            z = len(rows)
+            rows.append(0)
+        r = rows[z]
+        while z and rows[z - 1] == r:
+            z -= 1
+        rows[z] += 1
+        path.append(r + 1)
+    return path, rows
 
 
 @dataclass
@@ -490,22 +508,17 @@ def _run_single_trial(config: SamplerConfig, rng: CounterRng, trial: int,
             path.append(added_column(rho, sigma))
             rho = sigma
         final_cols = conjugate(rho)
+        final_rows = conjugate(final_cols)
     elif config.engine == "chain":
-        cols: list[int] = []
-        for step in steps:
-            z = rng.leading_zero_count(trial, step, config.q, (cols[0] if cols else 0) + 1)
-            path.append(chain_haar_step(cols, z))
-        final_cols = tuple(cols)
+        path, rows = chain_haar_trial(rng, trial, config.n_max, config.q)
+        final_rows = tuple(rows)
+        final_cols = conjugate(final_rows)
     else:
         state = MatrixGrowthState(q=config.q)
         path.extend(matrix_haar_step(state, rng, trial, step) for step in steps)
         final_cols = tuple(state.cols)
-    return TrialRecord(
-        trial=trial,
-        final_rows=conjugate(final_cols),
-        final_cols=final_cols,
-        snapshots=PathSnapshots(path, config.resolved_snapshot()),
-    )
+        final_rows = conjugate(final_cols)
+    return TrialRecord(trial, final_rows, final_cols, PathSnapshots(path, config.resolved_snapshot()))
 
 
 def run_trials(config: SamplerConfig, trial_indices: list[int]) -> list[TrialRecord]:

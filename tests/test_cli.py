@@ -274,6 +274,15 @@ class TestLln:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[0] == "measure growth: two_thirds.spec q=2 n=6 trials=2"
 
+    @pytest.mark.parametrize("script, argv", [("run_lln_haar.py", ["--seed", "-1"]),
+                                              ("run_lln_measure.py", ["--n", "0"])])
+    def test_script_exits_2_on_bad_input(self, script, argv):
+        # exit 1 is a failed gate; bad input is one error line and exit 2
+        done = subprocess.run([sys.executable, str(SPECS.parent / "scripts" / script), *argv],
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2
+        assert done.stdout == "" and done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
     def test_measure_mode(self, capsys):
         code, doc = run_cli(
             ["lln", "--mode", "measure", "--spec", str(SPECS / "two_thirds.spec"),

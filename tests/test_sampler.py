@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import os
 import pickle
+import struct
 import subprocess
 import sys
 import textwrap
@@ -21,7 +22,6 @@ from hallq.sampler import (
     MatrixGrowthState,
     SamplerConfig,
     beta_targets,
-    chain_haar_step,
     expected_frequency_multiset,
     markov_step,
     matrix_haar_step,
@@ -86,6 +86,11 @@ class TestRng:
         v = rng.uniform_vector(0, 1, 20, 3)  # packed: trailing zeros dropped
         assert len(v) <= 20 and all(0 <= x < 3 for x in v)
         assert 0 <= rng.uniform_vector(0, 1, 20, 2) < 2**20
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_negative_cap_is_refused(self, q):
+        with pytest.raises(ValueError, match="got cap -1"):
+            CounterRng(0).leading_zero_count(0, 1, q, -1)
 
     def test_leading_zero_counts_distribution(self):
         rng = CounterRng(11)
@@ -229,7 +234,7 @@ class TestStreamReferee:
 
 
 def _linear_chain_step(cols, z):
-    """Referee for the bisection in chain_haar_step: scan for the first
+    """Referee for the chain's box placement, on columns: scan for the first
     column of length at most z."""
     for j, c in enumerate(cols):
         if c <= z:
@@ -239,39 +244,144 @@ def _linear_chain_step(cols, z):
     return len(cols)
 
 
+def _ref_chain_trial(rng, trial, n, q):
+    """The Haar chain step by step: ``leading_zero_count`` and the linear
+    scan on columns."""
+    cols, path = [], []
+    for step in range(1, n + 1):
+        z = rng.leading_zero_count(trial, step, q, (cols[0] if cols else 0) + 1)
+        path.append(_linear_chain_step(cols, z))
+    return path, cols
+
+
+class _ScriptedState:
+    """Stands in for the keyed blake2b state of a CounterRng: the digest of
+    the counters (trial, step, index) is script(trial, step, index)."""
+
+    def __init__(self, script, data=b""):
+        self.script, self.data = script, data
+
+    def copy(self):
+        return _ScriptedState(self.script, self.data)
+
+    def update(self, data):
+        self.data += data
+
+    def digest(self):
+        return self.script(*struct.unpack("<3Q", self.data))
+
+
+def _scripted_rng(monkeypatch, script):
+    rng = CounterRng(0)
+    monkeypatch.setattr(rng, "_keyed", _ScriptedState(script))
+    return rng
+
+
+def _run_of_zeros(z, q):
+    """A stream, as whole blocks, that starts with exactly z zero base-q
+    digits; at q > 2, where q leaves bytes to skip, a skipped byte follows
+    each zero digit."""
+    if q == 2:
+        stream = (1 << z).to_bytes(z // 8 + 1, "little")
+    else:
+        skipped = [255] if 256 % q else []
+        stream = bytes([0, *skipped] * z + [1])
+    return stream + bytes([1]) * (-len(stream) % 64)
+
+
+def _steps_to(rows, q):
+    """Streams for the steps that grow the type ``rows`` row by row: the box
+    at (row i, column j) lands in column j on the draw z = i."""
+    return [_run_of_zeros(i, q) for i, length in enumerate(rows) for _ in range(length)]
+
+
+def _stream_script(streams):
+    """Block (trial, step, index) of streams[step - 1], for every trial."""
+    return lambda trial, step, index: streams[step - 1][64 * index : 64 * index + 64]
+
+
+CHAIN_SEEDS = (3, 1009, 2**63 + 29)
+
+
 class TestChainStep:
-    def test_bisection_matches_linear_scan(self):
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_rows_update_matches_linear_scan(self, monkeypatch, q):
+        # every type of size <= 10, by rows, and every draw up to one past
+        # the cap: one more step of the trial against the scan on columns
         for n in range(11):
             for lam in enumerate_partitions(n):
-                for z in range((lam[0] if lam else 0) + 2):
-                    fast, slow = list(lam), list(lam)
-                    assert chain_haar_step(fast, z) == _linear_chain_step(slow, z), (lam, z)
-                    assert fast == slow, (lam, z)
+                cols = conjugate(lam)
+                for z in range((cols[0] if cols else 0) + 3):
+                    rng = _scripted_rng(monkeypatch, _stream_script(_steps_to(lam, q) + [_run_of_zeros(z, q)]))
+                    path, rows = sampler.chain_haar_trial(rng, 0, n + 1, q)
+                    slow = list(cols)
+                    assert path[-1] == _linear_chain_step(slow, z), (lam, z)
+                    assert tuple(rows) == conjugate(tuple(slow)), (lam, z)
 
     def test_columns_stay_partition(self):
+        path, rows = sampler.chain_haar_trial(CounterRng(3), 0, 399, 2)
         cols = []
-        rng = CounterRng(3)
-        for step in range(1, 400):
-            z = rng.leading_zero_count(0, step, 2, (cols[0] if cols else 0) + 1)
-            j = chain_haar_step(cols, z)
-            assert 1 <= j <= len(cols)
+        for j in path:
+            assert 1 <= j <= len(cols) + 1
+            if j > len(cols):
+                cols.append(0)
+            cols[j - 1] += 1
             assert all(cols[i] >= cols[i + 1] for i in range(len(cols) - 1))
-        assert sum(cols) == 399
+        assert sum(rows) == 399 and tuple(rows) == conjugate(tuple(cols))
 
-    def test_step_law_is_exact_haar_law(self):
-        # empirical column frequencies from a fixed partition against the
-        # exact law t^(c_j) - t^(c_{j-1})
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
+    def test_trial_matches_step_by_step_referee(self, monkeypatch, q):
+        calls = []
+        for seed in CHAIN_SEEDS:
+            rng = CounterRng(seed)
+            real = rng.leading_zero_count
+            monkeypatch.setattr(rng, "leading_zero_count", lambda *args: calls.append(args) or real(*args))
+            for n in (1, 2, 50, 400):
+                for trial in range(30):
+                    path, rows = sampler.chain_haar_trial(rng, trial, n, q)
+                    assert not calls, "real blocks decide the draw in place"
+                    ref_path, ref_cols = _ref_chain_trial(rng, trial, n, q)
+                    calls.clear()
+                    assert list(path) == ref_path, (seed, n, trial)
+                    assert tuple(rows) == conjugate(tuple(ref_cols)), (seed, n, trial)
+
+    @pytest.mark.parametrize("q, filler", [(2, bytes(64)), (3, bytes([255]) * 64), (3, bytes(64)),
+                                           (3, bytes([0, 3, 255, 6]) * 16)],
+                             ids=["q2-zero", "q3-skipped", "q3-zero-digits", "q3-mixed"])
+    def test_undecided_block_reads_on(self, monkeypatch, q, filler):
+        # block 0 of the last steps holds no nonzero digit, so their draws
+        # read on into block 1.  The rows change value between the count of
+        # zero digits in block 0 and the full run, so a draw cut short at
+        # block 0 puts the box in the wrong column.
+        lam = [2] * 516 + [1] * 100 if q == 2 else [2] * 70 + [1] * 70
+        streams = _steps_to(lam, q) + [filler + _run_of_zeros(z, q) for z in (3, 9, 75)]
+        rng = _scripted_rng(monkeypatch, _stream_script(streams))
+        real = rng.leading_zero_count
+        steps = []
+        monkeypatch.setattr(rng, "leading_zero_count", lambda t, step, *a: steps.append(step) or real(t, step, *a))
+        path, rows = sampler.chain_haar_trial(rng, 0, len(streams), q)
+        limit = 256 // q * q
+        undecided = [step for step, stream in enumerate(streams, 1)
+                     if not any(b if q == 2 else b < limit and b % q for b in stream[:64])]
+        assert steps == undecided and undecided[-3:] == [len(streams) - 2, len(streams) - 1, len(streams)]
+        ref_path, ref_cols = _ref_chain_trial(rng, 0, len(streams), q)
+        assert list(path) == ref_path and tuple(rows) == conjugate(tuple(ref_cols))
+
+    def test_step_law_is_exact_haar_law(self, monkeypatch):
+        # empirical column frequencies of the step from a fixed type against
+        # the exact law t^(c_j) - t^(c_{j-1}): the steps to the type are
+        # scripted, the last step's block is the real stream's
         base = [4, 2, 1]  # conjugate of (3,2,1,1)
-        rng = CounterRng(5)
+        build = _steps_to(conjugate(tuple(base)), 2)
+        real = CounterRng(5)
+        rng = _scripted_rng(monkeypatch, lambda trial, step, index: (
+            build[step - 1][64 * index : 64 * index + 64] if step <= len(build) else real.block(0, trial, index)))
         hits = {}
         trials = 20000
-        for step in range(trials):
-            cols = list(base)
-            z = rng.leading_zero_count(0, step, 2, cols[0] + 1)
-            j = chain_haar_step(cols, z)
+        for trial in range(trials):
+            j = sampler.chain_haar_trial(rng, trial, len(build) + 1, 2)[0][-1]
             hits[j] = hits.get(j, 0) + 1
         t = F(1, 2)
-        prev = F(0)
         for j in range(1, 5):
             c = base[j - 1] if j - 1 < len(base) else 0
             p = t**c - (t ** base[j - 2] if j >= 2 else 0)
