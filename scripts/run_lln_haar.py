@@ -4,7 +4,8 @@
 Grows Jordan types of Haar-random unitriangular matrices over F_2 and
 compares mean row frequencies against the geometric targets (1-t) t^(k-1),
 printing the full gate table.  Runtime is seconds with the chain engine.
-Exits 0 when the gate passes, 1 when it fails and 2 on bad input.
+Exits 0 when the gate passes, 1 when it fails and 2 on bad input, which
+includes an --out path that cannot be written (checked before the run).
 """
 
 import argparse
@@ -36,6 +37,12 @@ def main() -> int:
     except ValueError as exc:  # exit 1 means a failed gate
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.out:
+        try:  # an unwritable report path is bad input, found before the run
+            Path(args.out).open("a").close()
+        except OSError as exc:
+            print(f"error: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
     report = run_lln(config)
     gate = report.gate()
     print(f"Haar growth: q={args.q} n={args.n} trials={args.trials} seed={args.seed}")

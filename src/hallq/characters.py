@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import gflinalg, symfun
-from .gflinalg import canonical_unipotent, count_fixed_flags
+from .gflinalg import canonical_unipotent, fixed_flag_counts
 from .partitions import (
     Partition,
     check_degree,
@@ -157,13 +157,12 @@ def glb_character_general(spec: EvalPoint, phi: ConjClassType, ground: GroundPar
 
 
 def psi_matrix_by_flags(n: int, q: int) -> tuple[tuple[int, ...], ...]:
-    """psi^mu_rho by brute-force fixed-flag counting on canonical unipotents;
-    rows mu, columns rho, reverse-lex indexing."""
+    """psi^mu_rho by brute-force fixed-flag counting on canonical unipotents,
+    one invariant-subspace lattice per representative; rows mu, columns rho,
+    reverse-lex indexing."""
     parts = enumerate_partitions(n)
-    reps = [canonical_unipotent(rho, q) for rho in parts]
-    return tuple(
-        tuple(count_fixed_flags(rep, mu) for rep in reps) for mu in parts
-    )
+    columns = [fixed_flag_counts(canonical_unipotent(rho, q), parts) for rho in parts]
+    return tuple(zip(*columns))
 
 
 def chi_via_flag_oracle(n: int, q: int) -> tuple[tuple[Fraction, ...], ...]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 from math import isqrt
 
 from .partitions import Partition, added_column, conjugate, covers_up, validate_partition
@@ -839,47 +839,55 @@ def all_subspaces(n: int, q: int) -> tuple[tuple[frozenset, int], ...]:
     return tuple(spaces)
 
 
+def _invariant_lattice(g: MatGF, dims) -> dict[int, list[frozenset]]:
+    """The g-invariant subspaces of each dimension in dims, in
+    ``all_subspaces`` order, checked against one image map of F_q^n."""
+    n, q = g.n_rows, g.q
+    spaces = all_subspaces(n, q)  # its budget ValueError comes before any image is taken
+    image = {v: mat_vec(g, v) for v in product(range(q), repeat=n)}
+    lattice: dict[int, list[frozenset]] = {d: [] for d in dims}
+    for space, d in spaces:
+        if d in lattice and all(image[v] in space for v in space):
+            lattice[d].append(space)
+    return lattice
+
+
 def invariant_subspaces(g: MatGF, dim: int) -> list[frozenset]:
-    """All g-invariant subspaces of the given dimension, by brute force."""
-    n = g.n_rows
-    out = []
-    for space, d in all_subspaces(n, g.q):
-        if d != dim:
-            continue
-        if all(mat_vec(g, v) in space for v in space):
-            out.append(space)
-    return out
+    """All g-invariant subspaces of the given dimension, in ``all_subspaces``
+    order, read off the lattice of one image map of g; [] for a dim outside
+    0..n."""
+    return _invariant_lattice(g, (dim,))[dim]
 
 
-def count_fixed_flags(g: MatGF, mu: tuple[int, ...]) -> int:
-    """Number of g-invariant flags with dimension vector mu."""
+def fixed_flag_counts(g: MatGF, mus) -> list[int]:
+    """Number of g-invariant flags of each dimension vector in mus, every
+    one counted as chains on one invariant-subspace lattice of g."""
     n = g.n_rows
     if g.n_cols != n:
         raise ValueError(f"fixed flags need a square matrix, got {n}x{g.n_cols}")
-    if sum(mu) != n:
-        raise ValueError("dimension vector must sum to n")
-    if any(p <= 0 for p in mu):
-        raise ValueError("parts must be positive")
-    dims = []
-    acc = 0
-    for part in mu[:-1]:
-        acc += part
-        dims.append(acc)
-    if not dims:
-        return 1
-    level_spaces = [invariant_subspaces(g, d) for d in dims]
-    # count chains by DP along inclusions
-    counts = [1] * len(level_spaces[0])
-    for lvl in range(1, len(level_spaces)):
-        nxt = []
-        for big in level_spaces[lvl]:
-            total = 0
-            for small, c in zip(level_spaces[lvl - 1], counts):
-                if small <= big:
-                    total += c
-            nxt.append(total)
-        counts = nxt
-    return sum(counts)
+    levels = []
+    for mu in mus:
+        if sum(mu) != n:
+            raise ValueError("dimension vector must sum to n")
+        if any(p <= 0 for p in mu):
+            raise ValueError("parts must be positive")
+        levels.append(list(accumulate(mu[:-1])))
+    needed = {d for dims in levels for d in dims}
+    lattice = _invariant_lattice(g, needed) if needed else {}
+    counts = []
+    for dims in levels:
+        # chains by DP along inclusions, from the zero space (the empty set is below every space)
+        chains = [(frozenset(), 1)]
+        for d in dims:
+            chains = [(big, sum(c for small, c in chains if small <= big)) for big in lattice[d]]
+        counts.append(sum(c for _, c in chains))
+    return counts
+
+
+def count_fixed_flags(g: MatGF, mu: tuple[int, ...]) -> int:
+    """Number of g-invariant flags with dimension vector mu, counted on one
+    invariant-subspace lattice of g (none is built for mu = (n,))."""
+    return fixed_flag_counts(g, (mu,))[0]
 
 
 def count_unitriangular_by_type(n: int, q: int) -> dict[Partition, int]:

@@ -148,6 +148,15 @@ class TestOracleChain:
         psi = psi_matrix_by_flags(3, 2)
         assert psi[2][2] == 21  # complete flags fixed by the identity
 
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_psi_matrix_flags_entrywise(self, q):
+        # one lattice per representative gives every row mu of its column
+        for n in range(0, 5):
+            parts = enumerate_partitions(n)
+            assert psi_matrix_by_flags(n, q) == tuple(
+                tuple(psi_unipotent(mu, rho, q) for rho in parts) for mu in parts
+            )
+
 
 class TestFrobenius:
     @pytest.mark.parametrize("q", [2, 3])

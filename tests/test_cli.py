@@ -283,6 +283,22 @@ class TestLln:
         assert done.returncode == 2
         assert done.stdout == "" and done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
+    def test_haar_script_checks_out_path_before_the_run(self, tmp_path):
+        # an unwritable --out is bad input: one error line, no table, exit 2
+        script = str(SPECS.parent / "scripts" / "run_lln_haar.py")
+        argv = [sys.executable, script, "--n", "10", "--trials", "5", "--out"]
+        done = subprocess.run([*argv, str(tmp_path / "missing" / "x.json")],
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2
+        assert done.stdout == "" and done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        # a writable path replaces what the file held with the report
+        out = tmp_path / "x.json"
+        out.write_text("old report, longer than nothing\n" * 100)
+        done = subprocess.run([*argv, str(out)], capture_output=True, text=True, timeout=120)
+        doc = json.loads(out.read_text())
+        assert done.returncode == (0 if doc["gate"]["ok"] else 1), done.stderr
+        assert out.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
     def test_measure_mode(self, capsys):
         code, doc = run_cli(
             ["lln", "--mode", "measure", "--spec", str(SPECS / "two_thirds.spec"),

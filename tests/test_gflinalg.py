@@ -21,6 +21,7 @@ from hallq.gflinalg import (
     extension_counts,
     extension_counts_closed,
     field,
+    fixed_flag_counts,
     identity,
     image_filtration,
     invariant_subspace_counts,
@@ -45,6 +46,7 @@ from hallq.gflinalg import (
     subspace_weight_sum,
     validate_closed_extension_counts,
 )
+from hallq import gflinalg
 from hallq.partitions import conjugate, covers_up, enumerate_partitions, gaussian_binomial
 from hallq.sampler import SamplerConfig, run_trials
 
@@ -700,6 +702,50 @@ class TestFlagsAndSubspaces:
         for k in range(4):
             assert sum(1 for _, d in spaces if d == k) == gaussian_binomial(3, k, q)
 
+    def test_lattice_matches_per_space_scan(self):
+        # the invariant lattice against the scan of every space, list and order,
+        # for every dim including the out-of-range -1 and n + 1
+        cases = [(g, q) for q, top in ((2, 4), (3, 4), (4, 3), (5, 3)) for n in range(top + 1)
+                 for g in [identity(n, q)] + [canonical_unipotent(rho, q) for rho in enumerate_partitions(n)]]
+        cases.append((primary_element((1, 1, 1), (1, 1), 2), 2))
+        for g, q in cases:
+            for d in range(-1, g.n_rows + 2):
+                assert invariant_subspaces(g, d) == referee_invariant_subspaces(g, d)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_fixed_flag_counts_share_one_lattice(self, q):
+        mus = [(4,), (1, 3), (3, 1), (2, 2), (1, 2, 1), (2, 1, 1), (1, 1, 2), (1, 1, 1, 1)]
+        for g in [identity(4, q)] + [canonical_unipotent(rho, q) for rho in enumerate_partitions(4)]:
+            counts = fixed_flag_counts(g, mus)
+            assert counts == [count_fixed_flags(g, mu) for mu in mus]
+            assert counts == [referee_flag_count(g, mu) for mu in mus]
+        g = canonical_unipotent((2, 1), q)
+        assert fixed_flag_counts(g, [(1, 2), (2, 1)]) == [referee_flag_count(g, (1, 2)),
+                                                          referee_flag_count(g, (2, 1))]
+        assert fixed_flag_counts(g, []) == []
+
+    def test_fixed_flags_refuse_bad_input_before_enumerating(self, monkeypatch):
+        def no_enumeration(*args):
+            raise AssertionError("enumerated")
+        monkeypatch.setattr(gflinalg, "all_subspaces", no_enumeration)
+        monkeypatch.setattr(gflinalg, "mat_vec", no_enumeration)
+        g = identity(3, 2)
+        for mus, message in (([(1, 2), (1, 1)], "sum to n"), ([(1, 2), (4, -1)], "positive")):
+            with pytest.raises(ValueError, match=message):
+                fixed_flag_counts(g, mus)
+        with pytest.raises(ValueError, match="square"):
+            count_fixed_flags(mat_from_rows([(1, 0, 0), (0, 1, 0)], 2), (1, 2))
+        # mu = (n,) has only the trivial flag and needs no lattice
+        assert count_fixed_flags(identity(21, 2), (21,)) == 1
+        assert fixed_flag_counts(identity(21, 2), [(21,), (21,)]) == [1, 1]
+
+    def test_fixed_flags_budget_comes_before_any_image(self, monkeypatch):
+        def no_image(*args):
+            raise AssertionError("image map built")
+        monkeypatch.setattr(gflinalg, "mat_vec", no_image)
+        with pytest.raises(ValueError, match=r"F_2\^21 has .* over the budget"):
+            count_fixed_flags(identity(21, 2), (20, 1))
+
     def test_invariant_divisibility_for_degree2_primary(self):
         # invariant subspaces of a degree-2 primary element have even dimension
         g = primary_element((1, 1, 1), (1, 1), 2)  # 4x4 over F_2
@@ -735,6 +781,23 @@ class TestFlagsAndSubspaces:
                     assert counts[0] == counts[n] == 1
                     if n:
                         assert counts[1] == (q ** len(rho) - 1) // (q - 1)
+
+
+def referee_invariant_subspaces(g, dim):
+    """The g-invariant subspaces of dimension dim by a scan of every vector
+    of every subspace."""
+    return [S for S, d in all_subspaces(g.n_rows, g.q) if d == dim and all(mat_vec(g, v) in S for v in S)]
+
+
+def referee_flag_count(g, mu):
+    """Invariant flags of dimension vector mu, as chains of referee
+    subspaces built level by level."""
+    chains = [frozenset()]
+    dim = 0
+    for part in mu[:-1]:
+        dim += part
+        chains = [big for big in referee_invariant_subspaces(g, dim) for small in chains if small <= big]
+    return len(chains)
 
 
 def referee_counts(rho, q):
