@@ -4,13 +4,15 @@ Every subcommand returns its result and verdict; ``main`` wraps the result
 in a run manifest (command, full parameter set, seed, code version, timing)
 and emits it as JSON.  Exact rationals are serialized as "num/den" strings
 with decimal annotations on the side.  Exit codes: 0 success, 1 failed
-verdict, 2 usage errors (bad input raises ValueError or OSError).
+verdict, 2 usage errors (bad input raises ValueError or OSError; an
+unwritable ``--out`` or ``--csv`` is found before the command runs).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -82,7 +84,7 @@ OUTPUT_SCHEMA = "hallq-output-v1"
 def _emit(payload: dict, args) -> None:
     payload = {"schema": OUTPUT_SCHEMA, **payload}
     text = json.dumps(payload, indent=2, sort_keys=True)
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
@@ -199,11 +201,44 @@ def cmd_lln(args) -> tuple[dict, bool]:
     )
     report = sampler.run_lln(config)
     doc = report.to_dict()
-    doc["gate"] = report.gate() if args.mode == "haar" else None
+    if args.mode == "haar":
+        doc["gate"] = report.gate()
+        _print_gate_table(args, doc["gate"])
+    else:
+        doc["gate"] = None
+        _print_trend_table(args, doc)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(report.trajectories_csv())
     return doc, args.mode != "haar" or doc["gate"]["ok"]
+
+
+def _print_gate_table(args, gate: dict) -> None:
+    """The Haar gate table, on stderr."""
+    lines = [f"Haar growth: q={args.q} n={args.n} trials={args.trials} seed={args.seed}",
+             f"{'k':>3} {'mean':>10} {'se':>10} {'target':>10} {'3se':>5} {'abs.02':>7}"]
+    for row in gate["rows"]:
+        lines.append(f"{row['k']:>3} {row['mean']:>10.5f} {row['se']:>10.6f} "
+                     f"{row['target']:>10.5f} {str(row['within_3se']):>5} {str(row['within_abs']):>7}")
+    lines.append("gate: " + ("PASS" if gate["ok"] else "FAIL"))
+    print("\n".join(lines), file=sys.stderr)
+
+
+def _print_trend_table(args, doc: dict) -> None:
+    """Measure-mode row and column means against their targets (a trend,
+    not a gate), on stderr; a missing target reads 0."""
+    rows, cols = doc["row_freq_means"], doc["col_freq_means"]
+    k_max = len(rows)
+    row_t = [float(Fraction(x)) for x in doc["targets"]["rows"]] + [0.0] * k_max
+    col_t = [float(Fraction(x)) for x in doc["targets"]["cols"]] + [0.0] * k_max
+    lines = [f"measure growth: {os.path.basename(args.spec)} q={args.q} n={args.n} trials={args.trials}",
+             f"counts: {doc['counts_source']}",
+             f"{'k':>3} {'row mean':>10} {'row target':>11} {'col mean':>10} {'col target':>11}"]
+    for k in range(k_max):
+        lines.append(f"{k + 1:>3} {rows[k]:>10.5f} {row_t[k]:>11.5f} {cols[k]:>10.5f} {col_t[k]:>11.5f}")
+    head = min(4, k_max)
+    lines.append(f"distance (rows, L1 over k<={head}): {sum(abs(rows[k] - row_t[k]) for k in range(head))}")
+    print("\n".join(lines), file=sys.stderr)
 
 
 def cmd_flag_count(args) -> tuple[dict, bool]:
@@ -328,38 +363,39 @@ def build_parser() -> argparse.ArgumentParser:
              "results do not depend on it",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", help="write the JSON report to this file instead of stdout")
 
-    p = sub.add_parser("kostka-foulkes", help="degree-n Kostka-Foulkes matrix at rational t")
+    def add(name: str, summary: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, parents=[common], help=summary)
+
+    p = add("kostka-foulkes", "degree-n Kostka-Foulkes matrix at rational t")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=str, required=True)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_kostka_foulkes)
 
-    p = sub.add_parser("cylinder", help="exact cylinder probability of a central measure")
+    p = add("cylinder", "exact cylinder probability of a central measure")
     p.add_argument("--spec", required=True)
     p.add_argument("--q", type=str)
     p.add_argument("--rho", required=True)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_cylinder)
 
-    p = sub.add_parser("coherence-check", help="exact coherence of cylinder probabilities")
+    p = add("coherence-check", "exact coherence of cylinder probabilities")
     p.add_argument("--spec", required=True)
     p.add_argument("--q", type=str)
     p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_coherence_check)
 
-    p = sub.add_parser("character", help="character values")
+    p = add("character", "character values")
     p.add_argument("--kind", required=True, choices=("unipotent", "induced", "glb"))
     p.add_argument("--label")
     p.add_argument("--class", dest="cls")
     p.add_argument("--class-type", dest="class_type")
     p.add_argument("--spec")
     p.add_argument("--q", type=str, required=True)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_character)
 
-    p = sub.add_parser("lln", help="Monte Carlo growth of Jordan types")
+    p = add("lln", "Monte Carlo growth of Jordan types")
     p.add_argument("--mode", default="haar", choices=("haar", "measure"))
     p.add_argument("--engine", default="chain", choices=("chain", "matrix", "markov"))
     p.add_argument("--q", type=int, help="field size (default: the spec file's q in measure mode, else 2)")
@@ -369,43 +405,55 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, default=8)
     p.add_argument("--spec")
     p.add_argument("--csv", help="write per-trial trajectories as CSV")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_lln)
 
-    p = sub.add_parser("flag-count", help="fixed flags of a matrix")
+    p = add("flag-count", "fixed flags of a matrix")
     p.add_argument("--matrix", required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--mu", required=True)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_flag_count)
 
-    p = sub.add_parser("grassmann", help="Schubert cells, sizes, dimensions, cocycles")
+    p = add("grassmann", "Schubert cells, sizes, dimensions, cocycles")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_grassmann)
 
-    p = sub.add_parser("ipfamily-check", help="tower-level verdicts")
+    p = add("ipfamily-check", "tower-level verdicts")
     p.add_argument("--example", required=True, choices=("gl", "affine", "wreath"))
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--coeff", type=int, default=2, help="cyclic coefficient order (wreath)")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_ipfamily_check)
 
-    p = sub.add_parser("selftest", help="exact identity suites")
+    p = add("selftest", "exact identity suites")
     p.add_argument("--level", default="quick", choices=("quick", "full"))
-    p.add_argument("--out")
     p.set_defaults(func=cmd_selftest)
 
     return parser
+
+
+def _check_output_paths(args) -> None:
+    """Open --out and --csv for append before the command runs, so that an
+    unwritable path is a usage error before any computation.  A file the
+    check made is removed at once; the report replaces an existing one."""
+    for flag, path in (("--out", args.out), ("--csv", getattr(args, "csv", None))):
+        if not path:
+            continue
+        existed = os.path.lexists(path)
+        try:
+            open(path, "a", encoding="utf-8").close()
+        except OSError as exc:
+            raise ValueError(f"cannot write {flag} {path}: {exc.strerror or exc}") from None
+        if not existed:
+            os.remove(path)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.time()
     try:
+        _check_output_paths(args)
         result, ok = args.func(args)
         _emit({"manifest": _manifest(args, round(time.time() - start, 3)), "result": result}, args)
     except (ValueError, OSError) as exc:

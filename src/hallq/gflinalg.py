@@ -855,7 +855,9 @@ def _invariant_lattice(g: MatGF, dims) -> dict[int, list[frozenset]]:
 def invariant_subspaces(g: MatGF, dim: int) -> list[frozenset]:
     """All g-invariant subspaces of the given dimension, in ``all_subspaces``
     order, read off the lattice of one image map of g; [] for a dim outside
-    0..n."""
+    0..n.  ValueError for a matrix that is not square."""
+    if g.n_cols != g.n_rows:
+        raise ValueError(f"invariant subspaces need a square matrix, got {g.n_rows}x{g.n_cols}")
     return _invariant_lattice(g, (dim,))[dim]
 
 

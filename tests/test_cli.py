@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from hallq import measures
-from hallq.cli import main, parse_class_type
+from hallq import measures, sampler
+from hallq.cli import build_parser, main, parse_class_type
 from hallq.partitions import conjugate, covers_up
 from hallq.symfun import parse_rational
 
@@ -266,37 +267,70 @@ class TestLln:
         capsys.readouterr()
         assert hashlib.sha256(csv.read_bytes()).hexdigest() == digest
 
-    def test_measure_script_names_the_spec_file_only(self):
-        # the first line does not depend on where the checkout lives
-        script = SPECS.parent / "scripts" / "run_lln_measure.py"
-        done = subprocess.run([sys.executable, str(script), "--n", "6", "--trials", "2"],
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[0] == "measure growth: two_thirds.spec q=2 n=6 trials=2"
+    def test_haar_mode_prints_its_gate_table_on_stderr(self, capsys):
+        code = main(["lln", "--mode", "haar", "--n", "10", "--trials", "3", "--seed", "9"])
+        captured = capsys.readouterr()
+        gate = json.loads(captured.out)["result"]["gate"]
+        assert code == 1 and not gate["ok"]  # n = 10 is far from the limit
+        lines = captured.err.splitlines()
+        assert lines[:3] == ["Haar growth: q=2 n=10 trials=3 seed=9",
+                             "  k       mean         se     target   3se  abs.02",
+                             "  1    0.60000   0.000000    0.50000 False   False"]
+        assert len(lines) == 3 + len(gate["rows"]) and lines[-1] == "gate: FAIL"
 
-    @pytest.mark.parametrize("script, argv", [("run_lln_haar.py", ["--seed", "-1"]),
-                                              ("run_lln_measure.py", ["--n", "0"])])
-    def test_script_exits_2_on_bad_input(self, script, argv):
-        # exit 1 is a failed gate; bad input is one error line and exit 2
-        done = subprocess.run([sys.executable, str(SPECS.parent / "scripts" / script), *argv],
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 2
-        assert done.stdout == "" and done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    def test_measure_mode_prints_its_trend_table_on_stderr(self, capsys):
+        # the header names the spec file only, not where the checkout lives
+        code = main(["lln", "--mode", "measure", "--spec", str(SPECS / "two_thirds.spec"),
+                     "--n", "6", "--trials", "2", "--kmax", "3"])
+        captured = capsys.readouterr()
+        assert code == 0
+        result = json.loads(captured.out)["result"]
+        lines = captured.err.splitlines()
+        assert lines[:3] == ["measure growth: two_thirds.spec q=2 n=6 trials=2",
+                             "counts: closed-form counts",
+                             "  k   row mean  row target   col mean  col target"]
+        rows = [line.split() for line in lines[3:6]]
+        assert [float(r[1]) for r in rows] == [round(x, 5) for x in result["row_freq_means"]]
+        assert [r[2] for r in rows] == ["0.33333", "0.16667", "0.16667"]
+        assert [r[4] for r in rows] == ["0.00000"] * 3  # no betas: column targets read 0
+        assert lines[6].startswith("distance (rows, L1 over k<=3): ") and len(lines) == 7
 
-    def test_haar_script_checks_out_path_before_the_run(self, tmp_path):
-        # an unwritable --out is bad input: one error line, no table, exit 2
-        script = str(SPECS.parent / "scripts" / "run_lln_haar.py")
-        argv = [sys.executable, script, "--n", "10", "--trials", "5", "--out"]
-        done = subprocess.run([*argv, str(tmp_path / "missing" / "x.json")],
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 2
-        assert done.stdout == "" and done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
-        # a writable path replaces what the file held with the report
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lln", "--n", "10", "--trials", "2", "--out", "{missing}"],
+            ["lln", "--mode", "measure", "--spec", str(SPECS / "two_thirds.spec"), "--n", "6", "--trials", "2",
+             "--csv", "{missing}"],
+            ["cylinder", "--spec", str(SPECS / "haar.spec"), "--rho", "1", "--out", "{missing}"],
+        ],
+        ids=["lln-out", "lln-csv", "cylinder-out"],
+    )
+    def test_unwritable_output_path_is_found_before_the_run(self, capsys, monkeypatch, tmp_path, argv):
+        def no_run(*args):
+            raise AssertionError("ran")
+        monkeypatch.setattr(sampler, "run_lln", no_run)
+        monkeypatch.setattr(measures, "cylinder_prob", no_run)
+        path = str(tmp_path / "missing" / "x.json")
+        flag = "--csv" if "--csv" in argv else "--out"
+        err = assert_usage_error([arg.format(missing=path) for arg in argv], capsys)
+        assert err == f"error: cannot write {flag} {path}: No such file or directory\n"
+
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    def test_usage_error_leaves_output_files_as_they_were(self, capsys, tmp_path, flag):
+        path = tmp_path / "new.json"
+        assert_usage_error(["lln", "--n", "10", "--trials", "2", "--seed", "-1", flag, str(path)], capsys)
+        assert list(tmp_path.iterdir()) == []
+        path.write_text("an older report\n")
+        assert_usage_error(["lln", "--n", "10", "--trials", "2", "--seed", "-1", flag, str(path)], capsys)
+        assert path.read_text() == "an older report\n"
+
+    def test_existing_out_file_is_replaced_by_the_report(self, capsys, tmp_path):
         out = tmp_path / "x.json"
-        out.write_text("old report, longer than nothing\n" * 100)
-        done = subprocess.run([*argv, str(out)], capture_output=True, text=True, timeout=120)
+        out.write_text("old report, longer than the new one\n" * 1000)
+        code = main(["lln", "--n", "10", "--trials", "5", "--out", str(out)])
+        captured = capsys.readouterr()
         doc = json.loads(out.read_text())
-        assert done.returncode == (0 if doc["gate"]["ok"] else 1), done.stderr
+        assert code == (0 if doc["result"]["gate"]["ok"] else 1) and captured.out == ""
         assert out.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def test_measure_mode(self, capsys):
@@ -415,6 +449,37 @@ class TestLln:
             docs.append(doc["result"])
         assert docs[0]["engine"] == "markov" and docs[1]["engine"] == "chain"
         assert docs[0]["row_freq_means"] == docs[1]["row_freq_means"]
+
+
+class TestScriptsAndDocs:
+    ROOT = SPECS.parent
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--q", "6", "--nmax", "2"], "6 is not a prime power"),
+            (["--q", "1"], "q must be between 2 and 256"),
+            (["--q", "2", "--nmax", "0"], "--nmax must be at least 1, got 0"),
+            (["--q", "2", "--nmax", "-3"], "--nmax must be at least 1, got -3"),
+            (["--nmax", "3"], "--nmax needs --q"),
+        ],
+    )
+    def test_validate_fast_counts_exits_2_on_bad_input(self, argv, message):
+        # exit 1 is a mismatch; bad input is one error line and exit 2, before any census
+        script = self.ROOT / "scripts" / "validate_fast_counts.py"
+        done = subprocess.run([sys.executable, str(script), *argv], capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message}\n")
+
+    def test_readme_commands_parse_and_its_scripts_exist(self):
+        readme = (self.ROOT / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+        commands = [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("hallq ")]
+        assert len(commands) >= 10
+        parser = build_parser()
+        for argv in commands:
+            assert parser.parse_args(argv[1:]).command in argv
+        scripts = set(re.findall(r"scripts/[\w-]+\.py", readme))
+        assert scripts and sorted(name for name in scripts if not (self.ROOT / name).is_file()) == []
 
 
 class TestOtherCommands:
@@ -583,7 +648,7 @@ class TestUsageErrors:
 
     def test_output_path_is_a_directory(self, capsys, tmp_path):
         argv = ["cylinder", "--spec", str(SPECS / "haar.spec"), "--q", "2", "--rho", "1", "--out", str(tmp_path)]
-        assert_usage_error(argv, capsys)
+        assert assert_usage_error(argv, capsys) == f"error: cannot write --out {tmp_path}: Is a directory\n"
 
     @pytest.mark.parametrize(
         "argv",

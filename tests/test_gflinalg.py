@@ -739,6 +739,17 @@ class TestFlagsAndSubspaces:
         assert count_fixed_flags(identity(21, 2), (21,)) == 1
         assert fixed_flag_counts(identity(21, 2), [(21,), (21,)]) == [1, 1]
 
+    @pytest.mark.parametrize("rows", [[(1, 0, 0), (0, 1, 1)], [(1, 0), (0, 1), (1, 1)]])
+    def test_invariant_subspaces_need_a_square_matrix(self, monkeypatch, rows):
+        # mat_vec drops what does not fit, so a 2x3 matrix once gave three lines of F_2^2
+        def no_enumeration(*args):
+            raise AssertionError("enumerated")
+        monkeypatch.setattr(gflinalg, "all_subspaces", no_enumeration)
+        g = mat_from_rows(rows, 2)
+        for dim in (-1, 0, 1, 4):
+            with pytest.raises(ValueError, match=rf"square matrix, got {g.n_rows}x{g.n_cols}"):
+                invariant_subspaces(g, dim)
+
     def test_fixed_flags_budget_comes_before_any_image(self, monkeypatch):
         def no_image(*args):
             raise AssertionError("image map built")
